@@ -46,13 +46,7 @@ def component_density(node: Node, x, kernel: Kernel):
     """
     pts, single = _as_batch(x, node.dims)
     if kernel is Kernel.UNIFORM:
-        lo = node.center - node.radius
-        hi = node.center + node.radius
-        top = np.array([(node.top_faces >> d) & 1 for d in range(node.dims)],
-                       dtype=bool)
-        below = (pts < hi) | (top & (pts == hi))
-        inside = np.all((pts >= lo) & below, axis=1)
-        out = inside / node.volume
+        out = node.tree.store.contains(node.index, pts) / node.volume
     else:
         z = (pts - node.center) / node.radius
         norm = (node.radius * math.sqrt(2.0 * math.pi)) ** node.dims
@@ -77,34 +71,42 @@ class TreeProposal:
     def __init__(self, tree: TreePyramid, kernel: Kernel = Kernel.UNIFORM):
         self.tree = tree
         self.kernel = kernel
-        self._cache_count = -1
+        self._cache_size = -1
         self._cache = None
 
     def _leaf_arrays(self):
-        """Stacked leaf geometry, cached until the tree grows."""
-        leaves = self.tree.leaves()
-        if len(leaves) != self._cache_count:
-            centers = np.stack([leaf.center for leaf in leaves])
-            radii = np.array([leaf.radius for leaf in leaves])
+        """Leaf geometry from the tree's store, cached until the tree grows.
+
+        Per-dimension arrays have shape (K, L), so each dimension's row is
+        contiguous. The uniform kernel's upper bounds store a closed upper
+        face as the next float above it, so ``x < hi`` tests every face.
+        """
+        size = len(self.tree)
+        if size != self._cache_size:
+            store = self.tree.store
+            leaves = store.leaf_indices()
+            centers = np.ascontiguousarray(store.center.take(leaves, axis=0).T)
+            radii = store.radius.take(leaves)
             dims = self.tree.dims
-            tops = np.array([[(leaf.top_faces >> d) & 1 for d in range(dims)]
-                             for leaf in leaves], dtype=bool)
-            lo = centers - radii[:, None]
-            hi = centers + radii[:, None]
             if self.kernel is Kernel.UNIFORM:
+                lo = centers - radii
+                hi = centers + radii
+                closed = store.top_faces.take(leaves, axis=0).T
+                np.nextafter(hi, np.inf, out=hi, where=closed)
                 comp = 1.0 / (len(leaves) * (2.0 * radii) ** dims)
             else:
+                lo = hi = None
                 comp = 1.0 / (len(leaves)
                               * (radii * math.sqrt(2.0 * math.pi)) ** dims)
-            self._cache = (centers, radii, tops, lo, hi, comp)
-            self._cache_count = len(leaves)
+            self._cache = (centers, radii, lo, hi, comp)
+            self._cache_size = size
         return self._cache
 
     def density(self, x):
         """Mixture density ``mean_i D(x; leaf_i)`` at one point or a batch."""
         pts, single = _as_batch(x, self.tree.dims)
-        centers, radii, tops, lo, hi, comp = self._leaf_arrays()
-        n_leaves = centers.shape[0]
+        centers, radii, lo, hi, comp = self._leaf_arrays()
+        n_leaves = radii.shape[0]
         dims = self.tree.dims
         acc = np.empty(pts.shape[0])
         step = max(1, self._CHUNK // max(n_leaves, 1))
@@ -114,15 +116,12 @@ class TreeProposal:
                 inside = np.ones((block.shape[0], n_leaves), dtype=bool)
                 for d in range(dims):
                     xd = block[:, d, None]
-                    hit = (xd >= lo[:, d]) & (xd < hi[:, d])
-                    if tops[:, d].any():
-                        hit |= tops[:, d] & (xd == hi[:, d])
-                    inside &= hit
+                    inside &= (xd >= lo[d]) & (xd < hi[d])
                 acc[start:start + step] = inside.astype(float) @ comp
             else:
                 z2 = np.zeros((block.shape[0], n_leaves))
                 for d in range(dims):
-                    diff = (block[:, d, None] - centers[:, d]) / radii
+                    diff = (block[:, d, None] - centers[d]) / radii
                     z2 += diff * diff
                 acc[start:start + step] = np.exp(-0.5 * z2) @ comp
         return float(acc[0]) if single else acc
@@ -138,13 +137,12 @@ def mixture_weights(tree: TreePyramid) -> np.ndarray:
     ``ValueError`` when every leaf does (a degenerate mixture that cannot
     be drawn from).
     """
-    leaves = tree.leaves()
-    dims = tree.dims
-    vals = np.array([
-        (leaf.weight if leaf.weight is not None else 0.0) * leaf.radius ** dims
-        for leaf in leaves
-    ])
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
+    store = tree.store
+    leaves = store.leaf_indices()
+    weights = store.weight.take(leaves)
+    vals = (np.where(np.isnan(weights), 0.0, weights)
+            * tree.per_level(lambda r: r ** tree.dims, leaves))
+    if np.count_nonzero((vals >= 0.0) & (vals < math.inf)) < vals.size:
         raise ValueError("leaf weights must be finite and non-negative")
     total = vals.sum()
     if total <= 0.0:

@@ -9,14 +9,14 @@ mass, and every drawn sample doubles as an importance-weighted point.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .proposal import (Kernel, TreeProposal, component_density, mixture_weights,
-                       sample_leaf, sample_mixture)
-from .tree import DEFAULT_MAX_DEPTH, DomainBounds, Node, TreePyramid
+from .proposal import Kernel, TreeProposal, mixture_weights, sample_mixture
+from .tree import DEFAULT_MAX_DEPTH, DomainBounds, TreePyramid
 
 
 class Weighting(enum.Enum):
@@ -102,28 +102,29 @@ def dm_weight(target_value: float, proposal: TreeProposal, x) -> float:
 
 
 def _eval_target(target, x) -> np.ndarray:
-    """Evaluate the target density on a batch and validate the values."""
+    """Evaluate the target density on a batch of n points and validate it:
+    the values must have shape (n,), be finite and be non-negative."""
     vals = np.asarray(target(x), dtype=float)
-    if vals.ndim == 0:
-        vals = vals[None]
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("target density returned a non-finite value")
-    if np.any(vals < 0.0):
+    if vals.shape != (x.shape[0],):
+        raise ValueError(f"target density must return shape ({x.shape[0]},) "
+                         f"for {x.shape[0]} points, got shape {vals.shape}")
+    if np.count_nonzero((vals >= 0.0) & (vals < math.inf)) < vals.size:
+        if not np.isfinite(vals).all():
+            raise ValueError("target density returned a non-finite value")
         raise ValueError("target density returned a negative value")
     return vals
 
 
-def _batch_draw(nodes, kernel: Kernel, rng: np.random.Generator, dims: int):
-    """One draw per node; returns the points and each point's density under
-    its own component."""
-    centers = np.stack([node.center for node in nodes])
-    radii = np.array([node.radius for node in nodes])
+def _batch_draw(centers, radii, kernel: Kernel, rng: np.random.Generator):
+    """One draw per component with the given centers (n, K) and radii (n,);
+    returns the points and each point's density under its own component."""
+    n, dims = centers.shape
     if kernel is Kernel.UNIFORM:
-        u = rng.random((len(nodes), dims))
+        u = rng.random((n, dims))
         points = centers + (2.0 * u - 1.0) * radii[:, None]
         own = 1.0 / (2.0 * radii) ** dims
     else:
-        z = rng.standard_normal((len(nodes), dims))
+        z = rng.standard_normal((n, dims))
         points = centers + z * radii[:, None]
         own = (np.exp(-0.5 * np.sum(z * z, axis=1))
                / (radii * math.sqrt(2.0 * math.pi)) ** dims)
@@ -137,7 +138,7 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     ----------
     target : callable
         Unnormalized density over the domain; must accept a batch of points
-        of shape (n, K) and return non-negative finite values.
+        of shape (n, K) and return non-negative finite values of shape (n,).
     config : SamplerConfig
 
     Returns
@@ -151,66 +152,84 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         returned set are evaluated against the mixture as it stood when
         each sample was drawn; use :func:`leaf_sample_set` to re-weight
         the final leaves against the finished tree.
+
+    Notes
+    -----
+    Without resampling every node is drawn once, when it is created, so
+    the returned set is the store's sample and weight columns in creation
+    order. Max-evidence selection then pops the leaf to split from a heap
+    keyed by ``(-target_value * radius**K, row)``: the earliest-created
+    leaf wins ties, as ``argmax`` over the insertion-ordered leaves does,
+    and each split costs O(2**K log L). Resampling and mixture draws change
+    every leaf's score or weight in each iteration, so they select over
+    the live-leaf arrays instead.
     """
     rng = np.random.default_rng(config.seed)
     tree = TreePyramid(config.bounds, max_depth=config.max_depth)
+    store = tree.store
     proposal = TreeProposal(tree, config.kernel)
+    dims = config.dims
+    greedy = config.node_selection is NodeSelection.MAX_EVIDENCE
+    use_heap = greedy and not config.resample_leaves
+    frontier = []  # (-target_value * radius**K, row) of every leaf
 
-    drawn_x: list[np.ndarray] = []
-    drawn_w: list[float] = []
-
-    def sample_nodes(nodes):
-        points, own = _batch_draw(nodes, config.kernel, rng, config.dims)
+    def sample_nodes(rows):
+        points, own = _batch_draw(store.center[rows], store.radius[rows],
+                                  config.kernel, rng)
         values = _eval_target(target, points)
         if config.weighting is Weighting.STANDARD:
-            if np.any(own <= 0.0):
+            if (own <= 0.0).any():
                 raise ValueError("sample fell outside its own component's "
                                  "support")
             weights = values / own
         else:
             q = proposal.density(points)
-            if np.any(q <= 0.0):
+            if (q <= 0.0).any():
                 raise ValueError("proposal mixture density is zero at a "
                                  "sample")
             weights = values / q
-        for node, x, f, w in zip(nodes, points, values, weights):
-            node.sample = x
-            node.target_value = float(f)
-            node.weight = float(w)
-        return points, weights
+        store.sample[rows] = points
+        store.target_value[rows] = values
+        store.weight[rows] = weights
+        return values
 
-    points, weights = sample_nodes([tree.root])
-    drawn_x.extend(points)
-    drawn_w.extend(weights)
+    def sample_new(first, count):
+        values = sample_nodes(slice(first, first + count))
+        if use_heap:
+            radius_pow = float(store.radius[first]) ** dims
+            for row, f in enumerate(values.tolist(), start=first):
+                heapq.heappush(frontier, (-(f * radius_pow), row))
 
     def reported_count() -> int:
         if config.resample_leaves:
-            return len(tree.leaves())
-        return len(drawn_x)
+            splits = (len(tree) - 1) // 2 ** dims
+            return 1 + splits * (2 ** dims - 1)
+        return len(tree)
 
+    sample_new(0, 1)
     while reported_count() < config.n_samples:
         if config.resample_leaves:
-            sample_nodes(tree.leaves())
-        leaves = tree.leaves()
-        if config.node_selection is NodeSelection.MAX_EVIDENCE:
-            scores = np.array([
-                leaf.target_value * leaf.radius ** tree.dims for leaf in leaves
-            ])
-            chosen = leaves[int(np.argmax(scores))]
+            sample_nodes(store.leaf_indices())
+        if use_heap:
+            chosen = heapq.heappop(frontier)[1]
         else:
-            chosen = leaves[sample_mixture(mixture_weights(tree), rng)]
-        children = tree.expand(chosen)
-        points, weights = sample_nodes(children)
-        drawn_x.extend(points)
-        drawn_w.extend(weights)
+            leaves = store.leaf_indices()
+            if greedy:
+                scores = store.target_value[leaves] * tree.per_level(
+                    lambda r: r ** dims, leaves)
+                chosen = leaves[int(np.argmax(scores))]
+            else:
+                chosen = leaves[sample_mixture(mixture_weights(tree), rng)]
+        children = tree.expand(tree.node(chosen))
+        sample_new(children[0].index, len(children))
 
     if config.resample_leaves:
-        leaves = tree.leaves()
-        sample_set = WeightedSampleSet(
-            np.array([leaf.sample for leaf in leaves]),
-            np.array([leaf.weight for leaf in leaves]))
+        leaves = store.leaf_indices()
+        sample_set = WeightedSampleSet(store.sample[leaves],
+                                       store.weight[leaves])
     else:
-        sample_set = WeightedSampleSet(np.array(drawn_x), np.array(drawn_w))
+        sample_set = WeightedSampleSet(store.sample[:len(tree)].copy(),
+                                       store.weight[:len(tree)].copy())
     return TPAISResult(sample_set, tree, config)
 
 
@@ -222,16 +241,21 @@ def leaf_sample_set(tree: TreePyramid, kernel: Kernel,
     component density; deterministic-mixture weights divide by the full
     leaf-mixture density of the finished tree.
     """
-    leaves = tree.leaves()
-    if any(leaf.sample is None for leaf in leaves):
+    store = tree.store
+    leaves = store.leaf_indices()
+    samples = store.sample[leaves]
+    if np.isnan(samples).any():
         raise ValueError("every leaf must hold a sample")
-    samples = np.array([leaf.sample for leaf in leaves])
-    values = np.array([leaf.target_value for leaf in leaves])
+    values = store.target_value[leaves]
     if weighting is Weighting.STANDARD:
-        own = np.array([
-            component_density(leaf, x, kernel)
-            for leaf, x in zip(leaves, samples)
-        ])
+        if kernel is Kernel.UNIFORM:
+            own = store.contains(leaves, samples) / tree.per_level(
+                lambda r: (2.0 * r) ** tree.dims, leaves)
+        else:
+            z = ((samples - store.center[leaves])
+                 / store.radius[leaves][:, None])
+            own = np.exp(-0.5 * np.sum(z * z, axis=1)) / tree.per_level(
+                lambda r: (r * math.sqrt(2.0 * math.pi)) ** tree.dims, leaves)
         if np.any(own <= 0.0):
             raise ValueError("a leaf sample fell outside its own component's "
                              "support")
@@ -257,8 +281,10 @@ def evidence_from_tree(target, tree: TreePyramid, kernel: Kernel,
     refinement keeps exactly the leaves whose draws understated their cell
     mass.
     """
-    leaves = tree.leaves()
-    points, _ = _batch_draw(leaves, kernel, rng, tree.dims)
+    store = tree.store
+    leaves = store.leaf_indices()
+    points, _ = _batch_draw(store.center[leaves], store.radius[leaves], kernel,
+                            rng)
     values = _eval_target(target, points)
     q = TreeProposal(tree, kernel).density(points)
     if np.any(q <= 0.0):

@@ -13,6 +13,7 @@ are closed so the full domain stays covered.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +73,99 @@ class DomainBounds:
         return float(np.prod(self.upper - self.lower))
 
 
+# (name, one value per dimension, dtype, value of a row before it is written)
+_COLUMNS = (
+    ("center", True, float, 0.0),
+    ("radius", False, float, 0.0),
+    ("level", False, np.int64, 0),
+    ("top_faces", True, bool, False),
+    ("first_child", False, np.int64, -1),
+    ("is_leaf", False, bool, True),
+    ("sample", True, float, np.nan),
+    ("target_value", False, float, np.nan),
+    ("weight", False, float, np.nan),
+)
+
+
+class NodeStore:
+    """Struct-of-arrays rows of every node of a tree, in creation order.
+
+    Row ``i`` holds node ``i``: its cell (``center`` (K,), ``radius``,
+    ``level``, ``top_faces`` (K,) flags marking upper faces on the domain
+    boundary, which are closed), its place in the tree (``first_child``,
+    the row of its first child or -1, and ``is_leaf``) and its last draw
+    (``sample`` (K,), ``target_value`` and ``weight``, NaN while unset).
+    The children of a node occupy ``2**K`` consecutive rows. Capacity
+    doubles as rows are appended; only the first ``size`` rows are nodes.
+    """
+
+    def __init__(self, dims: int):
+        self.size = 0
+        for name, per_dim, dtype, fill in _COLUMNS:
+            setattr(self, name,
+                    np.full((0, dims) if per_dim else (0,), fill, dtype))
+
+    def append(self, centers, radius: float, level: int) -> int:
+        """Add one leaf row per center and return the first new row; its
+        ``top_faces`` flags start cleared."""
+        first = self.size
+        self.size += centers.shape[0]
+        if self.size > self.radius.shape[0]:
+            capacity = max(self.size, 2 * self.radius.shape[0])
+            for name, _, dtype, fill in _COLUMNS:
+                old = getattr(self, name)
+                new = np.full((capacity,) + old.shape[1:], fill, dtype)
+                new[:first] = old[:first]
+                setattr(self, name, new)
+        rows = slice(first, self.size)
+        self.center[rows] = centers
+        self.radius[rows] = radius
+        self.level[rows] = level
+        return first
+
+    def leaf_indices(self) -> np.ndarray:
+        """Rows of the current leaves, in creation order."""
+        return np.flatnonzero(self.is_leaf[:self.size])
+
+    def contains(self, rows, points) -> np.ndarray:
+        """Half-open membership of points in cells.
+
+        ``rows`` is one row, tested against every point of ``points``
+        ((K,) or (n, K)), or an (n,) array pairing row ``rows[j]`` with
+        ``points[j]``.
+        """
+        center = self.center[rows]
+        radius = self.radius[rows][..., None]
+        hi = center + radius
+        below = (points < hi) | (self.top_faces[rows] & (points == hi))
+        return np.all((points >= center - radius) & below, axis=-1)
+
+
+def _optional_float(column: str, doc: str):
+    """Property reading and writing one scalar column; NaN reads as None."""
+
+    def get(self):
+        value = float(getattr(self.tree.store, column)[self.index])
+        return None if math.isnan(value) else value
+
+    def put(self, value):
+        getattr(self.tree.store, column)[self.index] = (
+            math.nan if value is None else value)
+
+    return property(get, put, doc=doc)
+
+
 class Node:
-    """One cell of a tree pyramid.
+    """Handle on one cell of a tree pyramid: row ``index`` of ``tree.store``.
+
+    A tree keeps one handle per node, so handles compare by identity.
+    Every attribute reads or writes the store row, and the tree's arrays
+    stay the only copy of its geometry and draws.
 
     Attributes
     ----------
     center : ndarray, shape (K,)
-        Cell center.
+        Cell center (a copy of the row).
     radius : float
         Scalar half-width; the cell is ``center +- radius`` in every axis.
     level : int
@@ -87,32 +174,55 @@ class Node:
         Empty for leaves, exactly ``2**K`` entries otherwise.
     sample, weight, target_value
         Last sample drawn inside the cell, its importance weight and raw
-        target density. ``None`` until the node has been sampled.
-    top_faces : int
-        Bitmask; bit ``d`` is set when the cell's upper face in dimension
-        ``d`` lies on the domain boundary (those faces are closed).
+        target density. ``None`` until set; they can be assigned.
     """
 
-    __slots__ = ("center", "radius", "level", "children", "sample", "weight",
-                 "target_value", "top_faces")
+    __slots__ = ("tree", "index")
 
-    def __init__(self, center, radius, level, top_faces):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.level = int(level)
-        self.children: list["Node"] = []
-        self.sample = None
-        self.weight = None
-        self.target_value = None
-        self.top_faces = int(top_faces)
+    def __init__(self, tree: "TreePyramid", index: int):
+        self.tree = tree
+        self.index = index
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.tree.store.center[self.index].copy()
+
+    @property
+    def radius(self) -> float:
+        return float(self.tree.store.radius[self.index])
+
+    @property
+    def level(self) -> int:
+        return int(self.tree.store.level[self.index])
+
+    @property
+    def children(self) -> list["Node"]:
+        first = int(self.tree.store.first_child[self.index])
+        if first < 0:
+            return []
+        return self.tree._nodes[first:first + 2 ** self.dims]
+
+    @property
+    def sample(self):
+        row = self.tree.store.sample[self.index]
+        return None if math.isnan(row[0]) else row.copy()
+
+    @sample.setter
+    def sample(self, value):
+        self.tree.store.sample[self.index] = (
+            math.nan if value is None else value)
+
+    weight = _optional_float("weight", "Importance weight of the last draw.")
+    target_value = _optional_float("target_value",
+                                   "Target density at the last draw.")
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return bool(self.tree.store.is_leaf[self.index])
 
     @property
     def dims(self) -> int:
-        return self.center.shape[0]
+        return self.tree.dims
 
     @property
     def volume(self) -> float:
@@ -120,20 +230,16 @@ class Node:
 
     def contains(self, x) -> bool:
         """Half-open membership test for a single point."""
-        x = np.asarray(x, dtype=float)
-        lo = self.center - self.radius
-        hi = self.center + self.radius
-        top = np.array([(self.top_faces >> d) & 1 for d in range(self.dims)],
-                       dtype=bool)
-        below = (x < hi) | (top & (x == hi))
-        return bool(np.all((x >= lo) & below))
+        return bool(self.tree.store.contains(self.index,
+                                             np.asarray(x, dtype=float)))
 
 
 class TreePyramid:
     """Full 2**K-ary tree of hypercube cells over a bounded domain.
 
     The root cell is the whole domain (center ``(upper + lower) / 2``,
-    radius ``(upper - lower) / 2``). ``leaves()`` reflects insertion order:
+    radius ``(upper - lower) / 2``). Nodes live in ``store`` in creation
+    order, so the leaves in creation order are also their insertion order:
     expanding a leaf removes it and appends its children.
     """
 
@@ -143,25 +249,47 @@ class TreePyramid:
         self.bounds = bounds
         self.dims = bounds.dims
         self.max_depth = int(max_depth)
-        self.root = Node(bounds.center, bounds.radius, 0, (1 << self.dims) - 1)
-        self._leaves: list[Node] = [self.root]
         # Children are ordered lexicographically over the sign pattern:
         # "+" before "-", first dimension most significant.
-        self._signs = list(itertools.product((1.0, -1.0), repeat=self.dims))
+        self._signs = np.array(list(itertools.product((1.0, -1.0),
+                                                      repeat=self.dims)))
+        self._plus = self._signs > 0.0
+        self._level_radii = [bounds.radius]
+        self._child_offsets = []  # half * signs for the children of a level
+        self.store = NodeStore(self.dims)
+        self._nodes: list[Node] = []
+        self.root = self._add(bounds.center[None, :], bounds.radius, 0)[0]
+        self.store.top_faces[0] = True
+
+    def _add(self, centers, radius, level) -> list[Node]:
+        first = self.store.append(centers, radius, level)
+        added = [Node(self, i) for i in range(first, self.store.size)]
+        self._nodes.extend(added)
+        return added
+
+    def node(self, index) -> Node:
+        """The handle of store row ``index``."""
+        return self._nodes[index]
 
     def leaves(self) -> list[Node]:
         """Current leaf set in insertion order (do not mutate)."""
-        return list(self._leaves)
+        nodes = self._nodes
+        return [nodes[i] for i in self.store.leaf_indices().tolist()]
 
     def __len__(self) -> int:
         """Total number of nodes."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children)
-        return count
+        return self.store.size
+
+    def per_level(self, fn, index) -> np.ndarray:
+        """``fn(radius)`` for the nodes at rows ``index``.
+
+        Every node of one level has the same radius, so ``fn`` runs once per
+        level on a Python float and each value equals the scalar expression
+        evaluated node by node (NumPy's vectorized ``**`` rounds
+        differently from Python's).
+        """
+        table = np.array([fn(radius) for radius in self._level_radii])
+        return table.take(self.store.level.take(index))
 
     def expand(self, node: Node) -> list[Node]:
         """Split a leaf into its 2**K children and return them.
@@ -169,24 +297,26 @@ class TreePyramid:
         Raises ``ValueError`` for non-leaf nodes and ``DepthLimitError``
         when the child level would exceed ``max_depth``.
         """
-        if node.children:
+        store, i = self.store, node.index
+        if not store.is_leaf[i]:
             raise ValueError("only leaf nodes can be expanded")
-        if node.level >= self.max_depth:
+        level = int(store.level[i])
+        if level >= self.max_depth:
             raise DepthLimitError(
                 f"expansion past depth cap {self.max_depth}; the tree cannot "
                 "refine further")
-        half = node.radius / 2.0
-        children = []
-        for signs in self._signs:
-            offset = half * np.asarray(signs)
-            mask = 0
-            for d, s in enumerate(signs):
-                if s > 0 and (node.top_faces >> d) & 1:
-                    mask |= 1 << d
-            children.append(Node(node.center + offset, half, node.level + 1, mask))
-        node.children = children
-        self._leaves.remove(node)
-        self._leaves.extend(children)
+        half = float(store.radius[i]) / 2.0
+        if level + 1 == len(self._level_radii):
+            self._level_radii.append(half)
+            self._child_offsets.append(half * self._signs)
+        children = self._add(store.center[i] + self._child_offsets[level],
+                             half, level + 1)
+        first = children[0].index
+        top = store.top_faces[i]
+        if top.any():
+            store.top_faces[first:first + len(children)] = top & self._plus
+        store.first_child[i] = first
+        store.is_leaf[i] = False
         return children
 
     def find_leaf(self, x) -> Node:
@@ -199,15 +329,16 @@ class TreePyramid:
         x = np.asarray(x, dtype=float)
         if not self.root.contains(x):
             raise ValueError("point lies outside the domain")
-        node = self.root
-        while node.children:
+        store, i = self.store, 0
+        while not store.is_leaf[i]:
+            center = store.center[i]
             idx = 0
             for d in range(self.dims):
                 idx <<= 1
-                if x[d] < node.center[d]:
+                if x[d] < center[d]:
                     idx |= 1
-            node = node.children[idx]
-        return node
+            i = int(store.first_child[i]) + idx
+        return self._nodes[i]
 
 
 def serialize_tree(tree: TreePyramid) -> str:

@@ -8,7 +8,7 @@ import pytest
 from conftest import dyadic_midpoint_grid, grow_random_tree
 from tpais.proposal import (Kernel, TreeProposal, component_density,
                             mixture_weights, sample_leaf, sample_mixture)
-from tpais.tree import DomainBounds, Node, TreePyramid
+from tpais.tree import DomainBounds, TreePyramid
 
 
 class _FixedAlpha:
@@ -160,24 +160,19 @@ def test_mixture_weights_values():
     np.testing.assert_allclose(mixture_weights(tree), [0.75, 0.25])
 
 
-class _LeafStub:
-    """Minimal leaf container for exercising the weight formula directly."""
-
-    def __init__(self, leaves, dims):
-        self._leaves = list(leaves)
-        self.dims = dims
-
-    def leaves(self):
-        return list(self._leaves)
-
-
 def test_mixture_weights_radius_power():
-    # equal weights but radii 0.5 vs 0.25 in 2D: r**2 gives 0.25 vs 0.0625
-    big = Node(np.zeros(2), 0.5, 1, 0)
-    small = Node(np.ones(2) * 0.75, 0.25, 2, 3)
+    # equal weights but radii 0.5 vs 0.25 in 2D: r**2 gives 0.25 vs 0.0625;
+    # the other leaves have no weight and contribute zero
+    tree = TreePyramid(DomainBounds.centered(2))
+    big = tree.expand(tree.root)[1]
+    small = tree.expand(tree.root.children[0])[3]
+    assert (big.radius, small.radius) == (0.5, 0.25)
     big.weight = small.weight = 1.0
-    np.testing.assert_allclose(mixture_weights(_LeafStub([big, small], 2)),
-                               [0.8, 0.2])
+    leaves = tree.leaves()
+    pair = [leaves.index(big), leaves.index(small)]
+    weights = mixture_weights(tree)
+    np.testing.assert_allclose(weights[pair], [0.8, 0.2])
+    assert np.all(np.delete(weights, pair) == 0.0)
 
 
 def test_mixture_weights_normalized_on_random_trees():

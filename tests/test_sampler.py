@@ -1,6 +1,7 @@
 """Sampler tests: budgets, selection rules, weighting schemes, evidence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,45 @@ def test_target_validation():
         run_tp_ais(lambda x: -np.ones(np.atleast_2d(x).shape[0]), cfg)
     with pytest.raises(ValueError):
         run_tp_ais(lambda x: np.full(np.atleast_2d(x).shape[0], np.nan), cfg)
+
+
+@pytest.mark.parametrize("bad_target, shape", [
+    (lambda x: np.ones((np.atleast_2d(x).shape[0], 1)), "(1, 1)"),
+    (lambda x: np.float64(0.5), "()"),
+    (lambda x: np.ones(np.atleast_2d(x).shape[0] + 1), "(2,)"),
+])
+def test_target_shape_contract(bad_target, shape):
+    # one value per point, shape (n,): a column, a scalar or the wrong
+    # length is rejected by name before any weight is formed
+    cfg = SamplerConfig(dims=1, n_samples=4, seed=0)
+    message = f"must return shape (1,) for 1 points, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_tp_ais(bad_target, cfg)
+
+
+def test_target_contract_in_evidence_redraw():
+    res = run_tp_ais(uniform_target, SamplerConfig(dims=2, n_samples=8, seed=1))
+    column = lambda x: uniform_target(x)[:, None]
+    with pytest.raises(ValueError, match=re.escape("got shape (7, 1)")):
+        evidence_from_tree(column, res.tree, Kernel.UNIFORM,
+                           np.random.default_rng(0))
+
+
+def test_max_evidence_flat_target_splits_in_insertion_order():
+    # a flat target ties every score within a level, so the greedy rule
+    # splits the largest cells first and, among them, the earliest
+    # inserted: the split nodes are a prefix of the breadth-first order
+    for dims, splits in ((1, 6), (2, 7)):
+        n = 1 + splits * 2 ** dims
+        res = run_tp_ais(uniform_target,
+                         SamplerConfig(dims=dims, n_samples=n, seed=4))
+        order, queue = [], [res.tree.root]
+        while queue:
+            node = queue.pop(0)
+            order.append(node)
+            queue.extend(node.children)
+        assert [not node.is_leaf for node in order] == (
+            [True] * splits + [False] * (len(order) - splits))
 
 
 def test_depth_cap_surfaces():

@@ -1,9 +1,12 @@
 """Tree-pyramid structure tests: geometry, partition, depth cap, serialization."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grow_random_tree
 from tpais.tree import (DEFAULT_MAX_DEPTH, DepthLimitError, DomainBounds,
@@ -109,6 +112,31 @@ def test_partition_fuzz():
             assert owners[0] is tree.find_leaf(x)
 
 
+# coordinates in [-1, 1], including exact cell faces of the dyadic lattice
+_coordinate = st.one_of(st.floats(-1.0, 1.0),
+                        st.integers(-64, 64).map(lambda i: i / 64.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.integers(1, 3),
+       picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12),
+       points=st.lists(st.lists(_coordinate, min_size=3, max_size=3),
+                       min_size=1, max_size=8))
+def test_property_leaves_partition_and_find_leaf(dims, picks, points):
+    tree = TreePyramid(DomainBounds.centered(dims))
+    for u in picks:
+        leaves = tree.leaves()
+        tree.expand(leaves[int(u * len(leaves))])
+    leaves = tree.leaves()
+    assert len(leaves) == 1 + len(picks) * (2 ** dims - 1)
+    assert math.fsum(leaf.volume for leaf in leaves) == tree.root.volume
+    for point in points:
+        x = np.array(point[:dims])
+        owners = [leaf for leaf in leaves if leaf.contains(x)]
+        assert len(owners) == 1
+        assert tree.find_leaf(x) is owners[0]
+
+
 def test_find_leaf_boundary_ownership():
     tree = TreePyramid(DomainBounds.centered(1))
     tree.expand(tree.root)
@@ -150,6 +178,23 @@ def test_leaves_follow_insertion_order():
     leaves = tree.leaves()
     assert leaves[0] is second
     assert [leaf.center[0] for leaf in leaves] == [-0.5, 0.75, 0.25]
+
+
+def test_node_handles_read_and_write_the_store():
+    tree = TreePyramid(DomainBounds.centered(2))
+    for _ in range(6):
+        tree.expand(tree.leaves()[-1])
+    leaf = tree.leaves()[0]
+    assert leaf is tree.find_leaf(leaf.center)
+    assert type(leaf.radius) is float and type(leaf.level) is int
+    assert leaf.weight is None and leaf.sample is None
+    leaf.weight = 2.5
+    leaf.sample = np.array([0.1, 0.2])
+    assert tree.store.weight[leaf.index] == 2.5
+    np.testing.assert_array_equal(tree.store.sample[leaf.index], [0.1, 0.2])
+    leaf.weight = None
+    assert leaf.weight is None
+    assert len(tree) == tree.store.size == 1 + 6 * 4
 
 
 def test_node_count():
