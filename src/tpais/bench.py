@@ -19,8 +19,8 @@ import numpy as np
 from .baselines import MHConfig, PMCConfig, run_mh, run_pmc
 from .metrics import LN2, ess_mcmc, evidence_estimate, jsd, kde_fit, ness_is
 from .proposal import Kernel, TreeProposal
-from .sampler import (NodeSelection, SamplerConfig, Weighting,
-                      evidence_from_tree, leaf_sample_set, run_tp_ais)
+from .sampler import (NodeSelection, SamplerConfig, evidence_from_tree,
+                      leaf_sample_set, run_tp_ais)
 from .targets import (GaussianMixture, make_egg_target, make_gmm5_target,
                       make_normal_target)
 
@@ -111,16 +111,15 @@ FAMILIES = ("normal", "gmm5", "egg")
 # leaves (see ``evidence_from_tree``), which keeps the estimate unbiased.
 
 
-def _tpais_method(kernel, weighting, selection, resample):
+def _tpais_method(kernel, selection, resample):
     def sample(target, dims, n, seed, spec):
         config = SamplerConfig(dims=dims, n_samples=n, bounds=target.bounds,
-                               kernel=kernel, weighting=weighting,
-                               node_selection=selection,
+                               kernel=kernel, node_selection=selection,
                                resample_leaves=resample, seed=seed)
         return run_tp_ais(target, config)
 
     def report(state, target, spec):
-        reported = leaf_sample_set(state.tree, kernel, weighting)
+        reported = leaf_sample_set(state.tree, kernel)
         evidence_rng = np.random.default_rng(
             derive_seed(state.config.seed, "evidence"))
         evidence = evidence_from_tree(target, state.tree, kernel, evidence_rng)
@@ -168,16 +167,14 @@ def _pmc_method(dm_weights):
 
 
 METHODS = {
-    "tpais": _tpais_method(Kernel.UNIFORM, Weighting.STANDARD,
-                           NodeSelection.MAX_EVIDENCE, resample=True),
-    "tpais-nr": _tpais_method(Kernel.UNIFORM, Weighting.STANDARD,
-                              NodeSelection.MAX_EVIDENCE, resample=False),
-    "tpais-dm": _tpais_method(Kernel.UNIFORM, Weighting.DETERMINISTIC_MIXTURE,
-                              NodeSelection.MAX_EVIDENCE, resample=False),
-    "tpais-mix": _tpais_method(Kernel.UNIFORM, Weighting.STANDARD,
-                               NodeSelection.MIXTURE_DRAW, resample=False),
-    "tpais-gauss": _tpais_method(Kernel.GAUSSIAN, Weighting.STANDARD,
-                                 NodeSelection.MAX_EVIDENCE, resample=False),
+    "tpais": _tpais_method(Kernel.UNIFORM, NodeSelection.MAX_EVIDENCE,
+                           resample=True),
+    "tpais-nr": _tpais_method(Kernel.UNIFORM, NodeSelection.MAX_EVIDENCE,
+                              resample=False),
+    "tpais-mix": _tpais_method(Kernel.UNIFORM, NodeSelection.MIXTURE_DRAW,
+                               resample=False),
+    "tpais-gauss": _tpais_method(Kernel.GAUSSIAN, NodeSelection.MAX_EVIDENCE,
+                                 resample=False),
     "mh": (_mh_sample, _mh_report),
     "pmc": _pmc_method(dm_weights=False),
     "pmc-dm": _pmc_method(dm_weights=True),

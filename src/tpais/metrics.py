@@ -196,26 +196,3 @@ def expectation_estimate(fn, samples, weights) -> float:
     vals = np.asarray(fn(np.atleast_2d(np.asarray(samples, dtype=float))),
                       dtype=float)
     return float(np.sum(vals * w))
-
-
-@dataclass
-class MetricsReport:
-    """Per-run metric bundle as emitted by the benchmark."""
-
-    n_samples: int
-    ness: float
-    jsd: float
-    evidence_mse: float
-    wall_time_seconds: float
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if not math.isnan(self.ness) and not 0.0 <= self.ness <= 1.0 + 1e-12:
-            raise ValueError("ness must lie in [0, 1]")
-        if not math.isnan(self.jsd) and not 0.0 <= self.jsd <= LN2 + 1e-12:
-            raise ValueError("jsd must lie in [0, ln 2]")
-        if not math.isnan(self.evidence_mse) and self.evidence_mse < 0.0:
-            raise ValueError("evidence_mse must be non-negative")
-        if self.wall_time_seconds < 0.0:
-            raise ValueError("wall_time_seconds must be non-negative")

@@ -46,21 +46,12 @@ def component_density(node: Node, x, kernel: Kernel):
     """
     pts, single = _as_batch(x, node.dims)
     if kernel is Kernel.UNIFORM:
-        out = node.tree.store.contains(node.index, pts) / node.volume
+        out = node.contains(pts) / node.volume
     else:
         z = (pts - node.center) / node.radius
         norm = (node.radius * math.sqrt(2.0 * math.pi)) ** node.dims
         out = np.exp(-0.5 * np.sum(z * z, axis=1)) / norm
     return float(out[0]) if single else out
-
-
-def sample_leaf(node: Node, kernel: Kernel, rng: np.random.Generator) -> np.ndarray:
-    """Draw one point from a leaf's component."""
-    if kernel is Kernel.UNIFORM:
-        lo = node.center - node.radius
-        hi = node.center + node.radius
-        return rng.uniform(lo, hi)
-    return rng.normal(node.center, node.radius)
 
 
 class TreeProposal:
@@ -75,11 +66,10 @@ class TreeProposal:
         self._cache = None
 
     def _leaf_arrays(self):
-        """Leaf geometry from the tree's store, cached until the tree grows.
+        """Gaussian leaf components from the tree's store, cached until the
+        tree grows.
 
-        Per-dimension arrays have shape (K, L), so each dimension's row is
-        contiguous. The uniform kernel's upper bounds store a closed upper
-        face as the next float above it, so ``x < hi`` tests every face.
+        Centers have shape (K, L), so each dimension's row is contiguous.
         """
         size = len(self.tree)
         if size != self._cache_size:
@@ -88,39 +78,37 @@ class TreeProposal:
             centers = np.ascontiguousarray(store.center.take(leaves, axis=0).T)
             radii = store.radius.take(leaves)
             dims = self.tree.dims
-            if self.kernel is Kernel.UNIFORM:
-                lo = centers - radii
-                hi = centers + radii
-                closed = store.top_faces.take(leaves, axis=0).T
-                np.nextafter(hi, np.inf, out=hi, where=closed)
-                comp = 1.0 / (len(leaves) * (2.0 * radii) ** dims)
-            else:
-                lo = hi = None
-                comp = 1.0 / (len(leaves)
-                              * (radii * math.sqrt(2.0 * math.pi)) ** dims)
-            self._cache = (centers, radii, lo, hi, comp)
+            comp = 1.0 / (len(leaves)
+                          * (radii * math.sqrt(2.0 * math.pi)) ** dims)
+            self._cache = (centers, radii, comp)
             self._cache_size = size
         return self._cache
 
     def density(self, x):
-        """Mixture density ``mean_i D(x; leaf_i)`` at one point or a batch."""
-        pts, single = _as_batch(x, self.tree.dims)
-        centers, radii, lo, hi, comp = self._leaf_arrays()
-        n_leaves = radii.shape[0]
-        dims = self.tree.dims
-        acc = np.empty(pts.shape[0])
-        step = max(1, self._CHUNK // max(n_leaves, 1))
-        for start in range(0, pts.shape[0], step):
-            block = pts[start:start + step]
-            if self.kernel is Kernel.UNIFORM:
-                inside = np.ones((block.shape[0], n_leaves), dtype=bool)
-                for d in range(dims):
-                    xd = block[:, d, None]
-                    inside &= (xd >= lo[d]) & (xd < hi[d])
-                acc[start:start + step] = inside.astype(float) @ comp
-            else:
-                z2 = np.zeros((block.shape[0], n_leaves))
-                for d in range(dims):
+        """Mixture density ``mean_i D(x; leaf_i)`` at one point or a batch.
+
+        The uniform mixture is ``1 / (L * volume)`` of the leaf holding each
+        point (zero outside the domain), found by the tree's descent in
+        O(n * depth). The Gaussian mixture sums every leaf, in O(n * L).
+        """
+        tree = self.tree
+        pts, single = _as_batch(x, tree.dims)
+        if self.kernel is Kernel.UNIFORM:
+            rows = tree.locate(pts)
+            branching = 2 ** tree.dims
+            n_leaves = 1 + (len(tree) - 1) // branching * (branching - 1)
+            comp = 1.0 / (n_leaves
+                          * (2.0 * np.array(tree.level_radii)) ** tree.dims)
+            acc = np.where(rows >= 0, comp.take(tree.store.level.take(rows)),
+                           0.0)
+        else:
+            centers, radii, comp = self._leaf_arrays()
+            acc = np.empty(pts.shape[0])
+            step = max(1, self._CHUNK // radii.shape[0])
+            for start in range(0, pts.shape[0], step):
+                block = pts[start:start + step]
+                z2 = np.zeros((block.shape[0], radii.shape[0]))
+                for d in range(tree.dims):
                     diff = (block[:, d, None] - centers[d]) / radii
                     z2 += diff * diff
                 acc[start:start + step] = np.exp(-0.5 * z2) @ comp

@@ -86,21 +86,6 @@ class TPAISResult:
     config: SamplerConfig = field(repr=False, default=None)
 
 
-def standard_weight(target_value: float, component_value: float) -> float:
-    """Importance weight against the sample's own component density."""
-    if component_value <= 0.0:
-        raise ValueError("sample fell outside its own component's support")
-    return target_value / component_value
-
-
-def dm_weight(target_value: float, proposal: TreeProposal, x) -> float:
-    """Deterministic-mixture weight against the full current leaf mixture."""
-    q = proposal.density(x)
-    if q <= 0.0:
-        raise ValueError("proposal mixture density is zero at the sample")
-    return target_value / q
-
-
 def _eval_target(target, x) -> np.ndarray:
     """Evaluate the target density on a batch of n points and validate it:
     the values must have shape (n,), be finite and be non-negative."""
@@ -173,9 +158,8 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     use_heap = greedy and not config.resample_leaves
     frontier = []  # (-target_value * radius**K, row) of every leaf
 
-    def sample_nodes(rows):
-        points, own = _batch_draw(store.center[rows], store.radius[rows],
-                                  config.kernel, rng)
+    def sample_nodes(rows, centers, radii):
+        points, own = _batch_draw(centers, radii, config.kernel, rng)
         values = _eval_target(target, points)
         if config.weighting is Weighting.STANDARD:
             if (own <= 0.0).any():
@@ -194,7 +178,8 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         return values
 
     def sample_new(first, count):
-        values = sample_nodes(slice(first, first + count))
+        rows = slice(first, first + count)
+        values = sample_nodes(rows, store.center[rows], store.radius[rows])
         if use_heap:
             radius_pow = float(store.radius[first]) ** dims
             for row, f in enumerate(values.tolist(), start=first):
@@ -209,7 +194,9 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     sample_new(0, 1)
     while reported_count() < config.n_samples:
         if config.resample_leaves:
-            sample_nodes(store.leaf_indices())
+            leaves = store.leaf_indices()
+            sample_nodes(leaves, store.center.take(leaves, axis=0),
+                         store.radius.take(leaves))
         if use_heap:
             chosen = heapq.heappop(frontier)[1]
         else:
@@ -249,7 +236,7 @@ def leaf_sample_set(tree: TreePyramid, kernel: Kernel,
     values = store.target_value[leaves]
     if weighting is Weighting.STANDARD:
         if kernel is Kernel.UNIFORM:
-            own = store.contains(leaves, samples) / tree.per_level(
+            own = (tree.locate(samples) == leaves) / tree.per_level(
                 lambda r: (2.0 * r) ** tree.dims, leaves)
         else:
             z = ((samples - store.center[leaves])

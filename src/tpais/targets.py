@@ -92,11 +92,6 @@ class GaussianMixture:
         return total
 
 
-def gmm_density(model: GaussianMixture, x):
-    """Density of ``model`` at ``x`` (point or batch)."""
-    return model.density(x)
-
-
 @dataclass
 class TargetDensity:
     """A target density paired with its evaluation domain.
@@ -109,9 +104,6 @@ class TargetDensity:
     bounds: DomainBounds
     model: GaussianMixture = None
     name: str = ""
-
-    def evaluate(self, x):
-        return self.fn(x)
 
     def __call__(self, x):
         return self.fn(x)
@@ -154,7 +146,3 @@ def make_egg_target(dims: int) -> TargetDensity:
     model = GaussianMixture(means, np.full((m, dims), 0.01), np.full(m, 1.0 / m))
     return _wrap(model, bounds, "egg")
 
-
-def gmm_sample(model: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` points from ``model``."""
-    return model.sample(n, rng)

@@ -3,11 +3,13 @@
 Every node owns an axis-aligned hypercube cell described by a center and a
 single scalar half-width (radius). Expanding a node splits its cell into
 2**K congruent sub-cells, one per sign combination of ``center +- radius/2``.
-The childless nodes (leaves) always partition the root cell exactly.
 
-Cells follow a half-open convention: a point belongs to ``[c - r, c + r)``
-in every dimension, except that faces lying on the domain's upper boundary
-are closed so the full domain stays covered.
+Cells are defined by one rule, the descent from the root: a point of the
+closed domain box moves to the "+" child along dimension ``d`` when
+``x[d] >= center[d]`` of the node it is in, and its cell is every node the
+descent passes. So lower faces are closed, upper faces are open except on
+the domain's upper boundary, and the leaves partition the domain exactly,
+also where ``center +- radius`` rounds away from a parent's center.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ _COLUMNS = (
     ("center", True, float, 0.0),
     ("radius", False, float, 0.0),
     ("level", False, np.int64, 0),
-    ("top_faces", True, bool, False),
     ("first_child", False, np.int64, -1),
     ("is_leaf", False, bool, True),
     ("sample", True, float, np.nan),
@@ -90,10 +91,9 @@ _COLUMNS = (
 class NodeStore:
     """Struct-of-arrays rows of every node of a tree, in creation order.
 
-    Row ``i`` holds node ``i``: its cell (``center`` (K,), ``radius``,
-    ``level``, ``top_faces`` (K,) flags marking upper faces on the domain
-    boundary, which are closed), its place in the tree (``first_child``,
-    the row of its first child or -1, and ``is_leaf``) and its last draw
+    Row ``i`` holds node ``i``: its cell (``center`` (K,), ``radius`` and
+    ``level``), its place in the tree (``first_child``, the row of its
+    first child or -1, and ``is_leaf``) and its last draw
     (``sample`` (K,), ``target_value`` and ``weight``, NaN while unset).
     The children of a node occupy ``2**K`` consecutive rows. Capacity
     doubles as rows are appended; only the first ``size`` rows are nodes.
@@ -106,8 +106,7 @@ class NodeStore:
                     np.full((0, dims) if per_dim else (0,), fill, dtype))
 
     def append(self, centers, radius: float, level: int) -> int:
-        """Add one leaf row per center and return the first new row; its
-        ``top_faces`` flags start cleared."""
+        """Add one leaf row per center and return the first new row."""
         first = self.size
         self.size += centers.shape[0]
         if self.size > self.radius.shape[0]:
@@ -126,19 +125,6 @@ class NodeStore:
     def leaf_indices(self) -> np.ndarray:
         """Rows of the current leaves, in creation order."""
         return np.flatnonzero(self.is_leaf[:self.size])
-
-    def contains(self, rows, points) -> np.ndarray:
-        """Half-open membership of points in cells.
-
-        ``rows`` is one row, tested against every point of ``points``
-        ((K,) or (n, K)), or an (n,) array pairing row ``rows[j]`` with
-        ``points[j]``.
-        """
-        center = self.center[rows]
-        radius = self.radius[rows][..., None]
-        hi = center + radius
-        below = (points < hi) | (self.top_faces[rows] & (points == hi))
-        return np.all((points >= center - radius) & below, axis=-1)
 
 
 def _optional_float(column: str, doc: str):
@@ -228,10 +214,18 @@ class Node:
     def volume(self) -> float:
         return float((2.0 * self.radius) ** self.dims)
 
-    def contains(self, x) -> bool:
-        """Half-open membership test for a single point."""
-        return bool(self.tree.store.contains(self.index,
-                                             np.asarray(x, dtype=float)))
+    def contains(self, x):
+        """Whether the cell holds ``x``: a bool for one point (K,), a bool
+        array for a batch (n, K).
+
+        A cell holds the points whose descent from the root passes through
+        this node (see the module docstring); the root holds the closed
+        domain box.
+        """
+        x = np.asarray(x, dtype=float)
+        rows = self.tree._descend(np.atleast_2d(x), self.level)
+        inside = rows == self.index
+        return bool(inside[0]) if x.ndim == 1 else inside
 
 
 class TreePyramid:
@@ -253,13 +247,13 @@ class TreePyramid:
         # "+" before "-", first dimension most significant.
         self._signs = np.array(list(itertools.product((1.0, -1.0),
                                                       repeat=self.dims)))
-        self._plus = self._signs > 0.0
-        self._level_radii = [bounds.radius]
+        # a child's row offset has the bit of each dimension where it is "-"
+        self._bits = 1 << np.arange(self.dims - 1, -1, -1)
+        self.level_radii = [bounds.radius]  # radius of each level reached
         self._child_offsets = []  # half * signs for the children of a level
         self.store = NodeStore(self.dims)
         self._nodes: list[Node] = []
         self.root = self._add(bounds.center[None, :], bounds.radius, 0)[0]
-        self.store.top_faces[0] = True
 
     def _add(self, centers, radius, level) -> list[Node]:
         first = self.store.append(centers, radius, level)
@@ -288,7 +282,7 @@ class TreePyramid:
         evaluated node by node (NumPy's vectorized ``**`` rounds
         differently from Python's).
         """
-        table = np.array([fn(radius) for radius in self._level_radii])
+        table = np.array([fn(radius) for radius in self.level_radii])
         return table.take(self.store.level.take(index))
 
     def expand(self, node: Node) -> list[Node]:
@@ -306,39 +300,49 @@ class TreePyramid:
                 f"expansion past depth cap {self.max_depth}; the tree cannot "
                 "refine further")
         half = float(store.radius[i]) / 2.0
-        if level + 1 == len(self._level_radii):
-            self._level_radii.append(half)
+        if level + 1 == len(self.level_radii):
+            self.level_radii.append(half)
             self._child_offsets.append(half * self._signs)
         children = self._add(store.center[i] + self._child_offsets[level],
                              half, level + 1)
-        first = children[0].index
-        top = store.top_faces[i]
-        if top.any():
-            store.top_faces[first:first + len(children)] = top & self._plus
-        store.first_child[i] = first
+        store.first_child[i] = children[0].index
         store.is_leaf[i] = False
         return children
 
-    def find_leaf(self, x) -> Node:
-        """Return the unique leaf whose cell contains ``x``.
+    def _descend(self, points, steps: int) -> np.ndarray:
+        """Row reached by each point of ``points`` (n, K) after ``steps``
+        steps of the descent, stopping early at a leaf; -1 for points
+        outside the closed domain box."""
+        store = self.store
+        rows = np.zeros(points.shape[0], dtype=np.int64)
+        for _ in range(steps):
+            child = store.first_child.take(rows)
+            below = points < store.center.take(rows, axis=0)
+            rows = np.where(child >= 0, child + below.dot(self._bits), rows)
+        inside = ((points >= self.bounds.lower)
+                  & (points <= self.bounds.upper)).all(axis=1)
+        return np.where(inside, rows, -1)
 
-        Descends from the root, picking the "+" child along dimension ``d``
-        whenever ``x[d] >= center[d]``; this realizes the half-open cell
-        convention without any floating-point tolerance.
+    def locate(self, points) -> np.ndarray:
+        """Leaf row of each point of ``points`` (n, K), or -1 for a point
+        outside the closed domain box.
+
+        Descends from the root, moving to the "+" child along dimension
+        ``d`` whenever ``x[d] >= center[d]``. Each step is one vectorized
+        pass over the points, so the cost is O(n * depth).
         """
-        x = np.asarray(x, dtype=float)
-        if not self.root.contains(x):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dims:
+            raise ValueError(f"expected points of shape (n, {self.dims})")
+        return self._descend(points, len(self.level_radii) - 1)
+
+    def find_leaf(self, x) -> Node:
+        """Return the unique leaf whose cell contains the point ``x`` (K,);
+        raises ``ValueError`` outside the domain."""
+        row = int(self.locate(np.asarray(x, dtype=float)[None, :])[0])
+        if row < 0:
             raise ValueError("point lies outside the domain")
-        store, i = self.store, 0
-        while not store.is_leaf[i]:
-            center = store.center[i]
-            idx = 0
-            for d in range(self.dims):
-                idx <<= 1
-                if x[d] < center[d]:
-                    idx |= 1
-            i = int(store.first_child[i]) + idx
-        return self._nodes[i]
+        return self._nodes[row]
 
 
 def serialize_tree(tree: TreePyramid) -> str:

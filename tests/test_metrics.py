@@ -1,14 +1,14 @@
-"""Metric tests: ESS variants, divergences, KDE, evidence, report ranges."""
+"""Metric tests: ESS variants, divergences, KDE, evidence."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tpais.metrics import (LN2, KDEModel, MetricsReport, ess_is, ess_mcmc,
-                           evidence_estimate, evidence_mse,
-                           expectation_estimate, jsd, kde_density, kde_fit,
-                           kl_mc, ness_is, normalized_weights)
+from tpais.metrics import (LN2, KDEModel, ess_is, ess_mcmc, evidence_estimate,
+                           evidence_mse, expectation_estimate, jsd,
+                           kde_density, kde_fit, kl_mc, ness_is,
+                           normalized_weights)
 from tpais.targets import GaussianMixture
 from tpais.tree import DomainBounds
 
@@ -219,17 +219,3 @@ def test_expectation_estimate():
     with pytest.raises(ValueError):
         expectation_estimate(lambda x: x[:, 0], samples, np.zeros(3))
 
-
-def test_metrics_report_ranges():
-    MetricsReport(10, 0.5, 0.1, 0.0, 1.0)
-    MetricsReport(10, math.nan, math.nan, math.nan, 0.0)  # error-row form
-    with pytest.raises(ValueError):
-        MetricsReport(0, 0.5, 0.1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        MetricsReport(10, 1.5, 0.1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        MetricsReport(10, 0.5, LN2 + 0.1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        MetricsReport(10, 0.5, 0.1, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        MetricsReport(10, 0.5, 0.1, 0.0, -1.0)

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import dyadic_midpoint_grid, grow_random_tree
 from tpais.proposal import (Kernel, TreeProposal, component_density,
-                            mixture_weights, sample_leaf, sample_mixture)
+                            mixture_weights, sample_mixture)
+from tpais.sampler import _batch_draw
 from tpais.tree import DomainBounds, TreePyramid
 
 
@@ -133,11 +134,16 @@ def test_callable_alias():
     assert prop(np.array([0.2])) == prop.density(np.array([0.2]))
 
 
+def _leaf_draws(leaf, kernel, n, rng):
+    """``n`` draws from one leaf's component, one per copy of the leaf."""
+    centers = np.tile(leaf.center, (n, 1))
+    return _batch_draw(centers, np.full(n, leaf.radius), kernel, rng)[0]
+
+
 def test_sample_leaf_uniform_support_and_mean():
     rng = np.random.default_rng(77)
     tree = TreePyramid(DomainBounds(np.array([1.5, 1.5]), np.array([2.5, 2.5])))
-    draws = np.array([sample_leaf(tree.root, Kernel.UNIFORM, rng)
-                      for _ in range(100_000)])
+    draws = _leaf_draws(tree.root, Kernel.UNIFORM, 100_000, rng)
     assert np.all(draws >= 1.5) and np.all(draws < 2.5)
     tol = 3.0 * (1.0 / math.sqrt(12.0)) / math.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0) - 2.0) < tol)
@@ -146,8 +152,7 @@ def test_sample_leaf_uniform_support_and_mean():
 def test_sample_leaf_gaussian_moments():
     rng = np.random.default_rng(78)
     tree = TreePyramid(DomainBounds.centered(1))
-    draws = np.array([sample_leaf(tree.root, Kernel.GAUSSIAN, rng)[0]
-                      for _ in range(100_000)])
+    draws = _leaf_draws(tree.root, Kernel.GAUSSIAN, 100_000, rng)[:, 0]
     assert abs(draws.std() - 1.0) < 0.02
 
 

@@ -9,8 +9,8 @@ import pytest
 from tpais.bench import derive_seed
 from tpais.proposal import Kernel, TreeProposal
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
-                           WeightedSampleSet, dm_weight, evidence_from_tree,
-                           leaf_sample_set, run_tp_ais, standard_weight)
+                           WeightedSampleSet, _batch_draw, evidence_from_tree,
+                           leaf_sample_set, run_tp_ais)
 from tpais.targets import GaussianMixture, make_gmm5_target
 from tpais.tree import DepthLimitError, DomainBounds, TreePyramid
 
@@ -219,16 +219,22 @@ def test_config_validation():
 
 
 def test_weight_helpers():
-    assert standard_weight(0.5, 0.5) == 1.0
-    assert standard_weight(0.4, 0.5) == 0.8
-    with pytest.raises(ValueError):
-        standard_weight(0.4, 0.0)
+    # standard weights divide by the draw's own component density, DM
+    # weights by the mixture density; on a single-leaf tree they agree
     tree = TreePyramid(DomainBounds.centered(1))
+    _, own = _batch_draw(tree.root.center[None, :],
+                         np.array([tree.root.radius]), Kernel.UNIFORM,
+                         np.random.default_rng(0))
+    assert 0.4 / own[0] == 0.8
     prop = TreeProposal(tree, Kernel.UNIFORM)
-    # single-leaf tree: mixture density equals the component density
-    assert dm_weight(0.4, prop, np.array([0.3])) == standard_weight(0.4, 0.5)
-    with pytest.raises(ValueError):
-        dm_weight(0.4, prop, np.array([5.0]))
+    assert 0.4 / prop.density(np.array([0.3])) == 0.8
+    # outside the domain the mixture density is zero, which the sampler
+    # rejects instead of dividing by it
+    assert prop.density(np.array([5.0])) == 0.0
+    for weighting in Weighting:
+        res = run_tp_ais(uniform_target, SamplerConfig(
+            dims=1, n_samples=1, seed=3, weighting=weighting))
+        assert res.sample_set.weights[0] == 1.0
 
 
 def test_dm_weight_gaussian_two_leaves():
@@ -239,7 +245,7 @@ def test_dm_weight_gaussian_two_leaves():
     comps = [math.exp(-0.5 * ((0.1 - c) / 0.5) ** 2)
              / (0.5 * math.sqrt(2 * math.pi)) for c in (0.5, -0.5)]
     expected = 0.7 / (sum(comps) / 2.0)
-    assert abs(dm_weight(0.7, prop, x) - expected) < 1e-12
+    assert abs(0.7 / prop.density(x) - expected) < 1e-12
 
 
 def test_leaf_sample_set_requires_samples():

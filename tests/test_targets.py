@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tpais.targets import (EGG_MODE_COORDS, GaussianMixture, gmm_density,
-                           gmm_sample, make_egg_target, make_gmm5_target,
-                           make_normal_target)
+from tpais.targets import (EGG_MODE_COORDS, GaussianMixture, make_egg_target,
+                           make_gmm5_target, make_normal_target)
 from tpais.tree import DomainBounds
 
 
@@ -21,7 +20,6 @@ def test_symmetric_two_component_density():
     model = GaussianMixture([[-1.0], [1.0]], [[1.0], [1.0]], [0.5, 0.5])
     expected = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
     assert abs(model.density(np.array([0.0])) - expected) < 1e-15
-    assert gmm_density(model, np.array([0.0])) == model.density(np.array([0.0]))
 
 
 def test_isotropic_2d_peak_value():
@@ -144,18 +142,18 @@ def test_egg_modes_found_by_grid_search():
 def test_sample_moments():
     model = GaussianMixture([[0.0]], [[1.0]], [1.0])
     rng = np.random.default_rng(70)
-    draws = gmm_sample(model, 100_000, rng)
+    draws = model.sample(100_000, rng)
     assert abs(draws.mean()) < 3.0 / math.sqrt(draws.size)
 
 
 def test_sample_component_selection():
     # zero-weight component never drawn
     model = GaussianMixture([[0.0], [100.0]], [[1.0], [1.0]], [1.0, 0.0])
-    draws = gmm_sample(model, 5000, np.random.default_rng(71))
+    draws = model.sample(5000, np.random.default_rng(71))
     assert np.all(draws < 50.0)
     # symmetric mixture: frequencies pass a chi-square check at alpha 1e-3
     model = GaussianMixture([[-10.0], [10.0]], [[1.0], [1.0]], [0.5, 0.5])
-    draws = gmm_sample(model, 100_000, np.random.default_rng(72))
+    draws = model.sample(100_000, np.random.default_rng(72))
     n_hi = int(np.sum(draws[:, 0] > 0.0))
     chi2 = (n_hi - 50_000) ** 2 / 50_000 + (draws.size - n_hi - 50_000) ** 2 / 50_000
     assert chi2 < 10.83  # 1 dof, alpha = 1e-3
@@ -172,5 +170,5 @@ def test_box_mass_matches_quadrature():
 def test_target_callable_interface():
     target = make_normal_target(np.random.default_rng(2), 1)
     x = np.array([[0.1]])
-    assert target(x) == target.evaluate(x)
+    assert target(x) == target.model.density(x)
     assert target.name == "normal"

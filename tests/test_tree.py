@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grow_random_tree
+from tpais.proposal import Kernel, TreeProposal
 from tpais.tree import (DEFAULT_MAX_DEPTH, DepthLimitError, DomainBounds,
                         TreePyramid, serialize_tree)
 
@@ -116,25 +117,55 @@ def test_partition_fuzz():
 _coordinate = st.one_of(st.floats(-1.0, 1.0),
                         st.integers(-64, 64).map(lambda i: i / 64.0))
 
+# (lower bound, width) of the domain in every dimension: [-1, 1], and a
+# domain whose cell faces center +- radius need not round to the parent's
+# center, so a box test on them would leave gaps and overlaps
+_domain = st.sampled_from([(-1.0, 2.0),
+                           (0.8217701239287258, 1.4219548974429648)])
+
+
+def _face_probes(leaf, bounds):
+    """Points on every face of a leaf's cell and one float step to either
+    side of it, kept where they lie in the domain."""
+    probes = []
+    center, radius = leaf.center, leaf.radius
+    for d in range(len(center)):
+        for face in (center[d] - radius, center[d] + radius):
+            for v in (np.nextafter(face, -np.inf), face,
+                      np.nextafter(face, np.inf)):
+                if bounds.lower[d] <= v <= bounds.upper[d]:
+                    x = center.copy()
+                    x[d] = v
+                    probes.append(x)
+    return probes
+
 
 @settings(max_examples=80, deadline=None)
-@given(dims=st.integers(1, 3),
+@given(dims=st.integers(1, 3), domain=_domain,
        picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12),
        points=st.lists(st.lists(_coordinate, min_size=3, max_size=3),
                        min_size=1, max_size=8))
-def test_property_leaves_partition_and_find_leaf(dims, picks, points):
-    tree = TreePyramid(DomainBounds.centered(dims))
+def test_property_leaves_partition_and_find_leaf(dims, domain, picks, points):
+    lower, width = domain
+    bounds = DomainBounds(np.full(dims, lower), np.full(dims, lower + width))
+    tree = TreePyramid(bounds)
     for u in picks:
         leaves = tree.leaves()
         tree.expand(leaves[int(u * len(leaves))])
     leaves = tree.leaves()
     assert len(leaves) == 1 + len(picks) * (2 ** dims - 1)
     assert math.fsum(leaf.volume for leaf in leaves) == tree.root.volume
-    for point in points:
-        x = np.array(point[:dims])
+    probes = [np.clip(lower + (np.array(point[:dims]) + 1.0) * (width / 2.0),
+                      bounds.lower, bounds.upper) for point in points]
+    if dims <= 2:
+        probes += [x for leaf in leaves for x in _face_probes(leaf, bounds)]
+    uniform = TreeProposal(tree, Kernel.UNIFORM)
+    for x in probes:
         owners = [leaf for leaf in leaves if leaf.contains(x)]
         assert len(owners) == 1
         assert tree.find_leaf(x) is owners[0]
+        assert owners[0].contains(x)
+        assert uniform.density(x) > 0.0
 
 
 def test_find_leaf_boundary_ownership():
@@ -151,6 +182,8 @@ def test_find_leaf_rejects_outside_point():
     tree = TreePyramid(DomainBounds.centered(2))
     with pytest.raises(ValueError):
         tree.find_leaf(np.array([1.5, 0.0]))
+    # the domain box is closed: only the point beyond it has no leaf
+    assert tree.locate(np.array([[1.5, 0.0], [1.0, -1.0]])).tolist() == [-1, 0]
 
 
 def test_expand_non_leaf_rejected():
