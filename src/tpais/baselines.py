@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .proposal import gaussian_kernel_sum
 from .sampler import WeightedSampleSet, _eval_target
 from .tree import DomainBounds
 
@@ -114,13 +115,6 @@ class PMCConfig:
             raise ValueError("kernel_std must be positive")
 
 
-def _gaussian_outer(points: np.ndarray, locs: np.ndarray, std: float) -> np.ndarray:
-    """Pairwise isotropic normal densities, shape (n_points, n_locs)."""
-    dims = points.shape[1]
-    z2 = np.sum(((points[:, None, :] - locs[None, :, :]) / std) ** 2, axis=2)
-    return np.exp(-0.5 * z2) / (std * math.sqrt(2.0 * math.pi)) ** dims
-
-
 def run_pmc(target, config: PMCConfig):
     """Run population Monte Carlo.
 
@@ -143,6 +137,7 @@ def run_pmc(target, config: PMCConfig):
     pop = config.population_size
     locs = rng.uniform(config.bounds.lower, config.bounds.upper,
                        size=(pop, config.dims))
+    norm = (config.kernel_std * math.sqrt(2.0 * math.pi)) ** config.dims
     all_samples = []
     all_weights = []
     for _ in range(config.iterations):
@@ -150,11 +145,11 @@ def run_pmc(target, config: PMCConfig):
                                     size=(pop, config.dims))
         values = _eval_target(target, samples)
         if config.dm_weights:
-            q = _gaussian_outer(samples, locs, config.kernel_std).mean(axis=1)
+            q = gaussian_kernel_sum(samples, locs, config.kernel_std,
+                                    lambda k: (k / norm).mean(axis=1))
         else:
             z2 = np.sum(((samples - locs) / config.kernel_std) ** 2, axis=1)
-            q = np.exp(-0.5 * z2) / (
-                config.kernel_std * math.sqrt(2.0 * math.pi)) ** config.dims
+            q = np.exp(-0.5 * z2) / norm
         weights = values / q
         total = weights.sum()
         if total <= 0.0:

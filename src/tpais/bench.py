@@ -48,6 +48,7 @@ class ExperimentSpec:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "sample_counts",
                            tuple(int(n) for n in self.sample_counts))
+        object.__setattr__(self, "kde_bandwidth", float(self.kde_bandwidth))
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}; "
@@ -61,6 +62,8 @@ class ExperimentSpec:
         if any(n < 1 for n in self.sample_counts) or any(
                 d < 1 for d in self.dims):
             raise ValueError("sample counts and dims must be >= 1")
+        if not 0.0 < self.kde_bandwidth < math.inf:
+            raise ValueError("kde_bandwidth must be positive and finite")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .proposal import _as_batch, gaussian_kernel_sum
 from .tree import DomainBounds
 
 LN2 = math.log(2.0)
@@ -137,8 +138,10 @@ class KDEModel:
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
+        if self.points.ndim != 2 or 0 in self.points.shape:
+            raise ValueError("KDE points must be a non-empty (n, K) array")
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
     @property
     def dims(self) -> int:
@@ -158,21 +161,11 @@ def kde_fit(points, bandwidth: float = 0.05) -> KDEModel:
 
 def kde_density(model: KDEModel, x):
     """KDE density ``mean_i K_h(x - x_i)`` at one point or a batch."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != model.dims:
-        raise ValueError(f"expected points with {model.dims} coordinates")
+    pts, single = _as_batch(x, model.dims)
     h = model.bandwidth
     norm = model.points.shape[0] * (h * math.sqrt(2.0 * math.pi)) ** model.dims
-    out = np.empty(pts.shape[0])
-    # chunk the query points so the pairwise distance block stays small
-    step = max(1, int(2**22 / max(model.points.shape[0], 1)))
-    for start in range(0, pts.shape[0], step):
-        block = pts[start:start + step]
-        z2 = np.sum(((block[:, None, :] - model.points[None, :, :]) / h) ** 2,
-                    axis=2)
-        out[start:start + step] = np.exp(-0.5 * z2).sum(axis=1) / norm
+    out = gaussian_kernel_sum(pts, model.points, h,
+                              lambda k: k.sum(axis=1) / norm)
     return float(out[0]) if single else out
 
 

@@ -54,35 +54,43 @@ def component_density(node: Node, x, kernel: Kernel):
     return float(out[0]) if single else out
 
 
+_BLOCK_PAIRS = 1 << 22  # cap on point-component pairs per kernel block
+
+
+def gaussian_kernel_sum(points, centers, scale, reduce):
+    """Isotropic Gaussian kernels of every point against every center.
+
+    ``points`` has shape (n, K), ``centers`` (m, K), and ``scale`` is a
+    scalar or one value per center. Points are taken in blocks of at most
+    ``_BLOCK_PAIRS`` point-center pairs; for each block the kernel matrix
+    ``exp(-0.5 * sum_d ((x_d - c_d) / s)**2)`` is formed, summing the
+    squares in dimension order, and ``reduce`` maps it to one value per
+    block row. Returns the (n,) concatenation of those values.
+    """
+    cols = np.ascontiguousarray(centers.T)
+    out = np.empty(points.shape[0])
+    step = max(1, _BLOCK_PAIRS // cols.shape[1])
+    for start in range(0, points.shape[0], step):
+        z2 = None
+        for x, col in zip(points[start:start + step].T, cols):
+            z = x[:, None] - col
+            z /= scale
+            z *= z
+            if z2 is None:
+                z2 = z
+            else:
+                z2 += z
+        z2 *= -0.5
+        out[start:start + step] = reduce(np.exp(z2, out=z2))
+    return out
+
+
 class TreeProposal:
     """Equal-weight mixture of one component per current leaf."""
-
-    _CHUNK = 1 << 22  # cap on points * leaves per broadcast block
 
     def __init__(self, tree: TreePyramid, kernel: Kernel = Kernel.UNIFORM):
         self.tree = tree
         self.kernel = kernel
-        self._cache_size = -1
-        self._cache = None
-
-    def _leaf_arrays(self):
-        """Gaussian leaf components from the tree's store, cached until the
-        tree grows.
-
-        Centers have shape (K, L), so each dimension's row is contiguous.
-        """
-        size = len(self.tree)
-        if size != self._cache_size:
-            store = self.tree.store
-            leaves = store.leaf_indices()
-            centers = np.ascontiguousarray(store.center.take(leaves, axis=0).T)
-            radii = store.radius.take(leaves)
-            dims = self.tree.dims
-            comp = 1.0 / (len(leaves)
-                          * (radii * math.sqrt(2.0 * math.pi)) ** dims)
-            self._cache = (centers, radii, comp)
-            self._cache_size = size
-        return self._cache
 
     def density(self, x):
         """Mixture density ``mean_i D(x; leaf_i)`` at one point or a batch.
@@ -102,16 +110,13 @@ class TreeProposal:
             acc = np.where(rows >= 0, comp.take(tree.store.level.take(rows)),
                            0.0)
         else:
-            centers, radii, comp = self._leaf_arrays()
-            acc = np.empty(pts.shape[0])
-            step = max(1, self._CHUNK // radii.shape[0])
-            for start in range(0, pts.shape[0], step):
-                block = pts[start:start + step]
-                z2 = np.zeros((block.shape[0], radii.shape[0]))
-                for d in range(tree.dims):
-                    diff = (block[:, d, None] - centers[d]) / radii
-                    z2 += diff * diff
-                acc[start:start + step] = np.exp(-0.5 * z2) @ comp
+            store = tree.store
+            leaves = store.leaf_indices()
+            radii = store.radius.take(leaves)
+            comp = 1.0 / (len(leaves)
+                          * (radii * math.sqrt(2.0 * math.pi)) ** tree.dims)
+            acc = gaussian_kernel_sum(pts, store.center.take(leaves, axis=0),
+                                      radii, lambda k: k @ comp)
         return float(acc[0]) if single else acc
 
     def __call__(self, x):

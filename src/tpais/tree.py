@@ -31,8 +31,9 @@ class DepthLimitError(RuntimeError):
 class DomainBounds:
     """Axis-aligned hypercube domain ``[lower_d, upper_d]`` for each dimension.
 
-    Extents must be strictly positive and equal across dimensions: the tree
-    uses one scalar radius per node, so only hypercube domains are supported.
+    Bounds must be finite, and extents strictly positive and equal across
+    dimensions: the tree uses one scalar radius per node, so only hypercube
+    domains are supported.
     """
 
     lower: np.ndarray
@@ -43,6 +44,8 @@ class DomainBounds:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("bounds must be 1-d arrays of equal length")
+        if not np.all(np.isfinite([lower, upper])):
+            raise ValueError("domain bounds must be finite")
         extents = upper - lower
         if np.any(extents <= 0.0):
             raise ValueError("every upper bound must exceed its lower bound")

@@ -38,6 +38,11 @@ def test_spec_validation():
         ExperimentSpec(trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(sample_counts=(0,))
+    for bandwidth in (0.0, -0.1, math.inf, math.nan, "-1"):
+        with pytest.raises(ValueError, match="kde_bandwidth"):
+            ExperimentSpec(kde_bandwidth=bandwidth)
+    with pytest.raises(ValueError):
+        ExperimentSpec(kde_bandwidth="wide")
     assert ExperimentSpec().sample_counts == DEFAULT_SAMPLE_COUNTS
 
 
@@ -182,6 +187,11 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert main(["--config", str(cfg)]) == 2
+
+
+def test_cli_rejects_zero_kde_bandwidth(tmp_path, capsys):
+    assert main(["--kde-bandwidth", "0", "--out-dir", str(tmp_path)]) == 2
+    assert "kde_bandwidth" in capsys.readouterr().err
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Golden regression digests of seeded sampler runs.
+"""Golden regression digests of seeded sampler runs and densities.
 
-Each case hashes the returned samples and weights, the serialized final
+Each sampler case hashes the returned samples and weights, the serialized final
 tree, the standard and deterministic-mixture ``leaf_sample_set`` weights
 and a seeded ``evidence_from_tree`` estimate. The digests were recorded
 before the tree moved to an array-backed store; any change to the
@@ -8,6 +8,12 @@ algorithm's arithmetic or random-number consumption shows up here. The
 "-wide" cases use half-widths whose radii are not powers of two, chosen
 so that NumPy's vectorized ``**`` and Python's ``**`` round their
 ``radius**K`` factors differently.
+
+The density cases pin the other users of the blocked Gaussian kernel sum:
+KDE densities over more query points than one block holds, DM-PMC draws,
+weights and final locations, and the N-ESS, JSD and evidence error of
+benchmark rows. They were recorded before the three densities shared one
+kernel sum.
 """
 
 import hashlib
@@ -15,7 +21,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from tpais.bench import derive_seed
+from tpais.baselines import PMCConfig, run_pmc
+from tpais.bench import ExperimentSpec, derive_seed, run_single
+from tpais.metrics import kde_fit
 from tpais.proposal import Kernel
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
                            evidence_from_tree, leaf_sample_set, run_tp_ais)
@@ -98,6 +106,14 @@ GOLDEN = {
 }
 
 
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+        h.update(b"\0")
+    return h.hexdigest()
+
+
 def case_digest(name: str) -> str:
     dims, n, kernel, weighting, selection, resample, *half_width = CASES[name]
     target = make_gmm5_target(
@@ -113,17 +129,80 @@ def case_digest(name: str) -> str:
     evidence = evidence_from_tree(
         target, result.tree, kernel,
         np.random.default_rng(derive_seed(5150, "evidence", name)))
-    h = hashlib.sha256()
-    for part in (result.sample_set.samples.tobytes(),
-                 result.sample_set.weights.tobytes(),
-                 serialize_tree(result.tree).encode(),
-                 std.samples.tobytes(), std.weights.tobytes(),
-                 dm.weights.tobytes(), repr(evidence).encode()):
-        h.update(part)
-        h.update(b"\0")
-    return h.hexdigest()
+    return _digest(result.sample_set.samples.tobytes(),
+                   result.sample_set.weights.tobytes(),
+                   serialize_tree(result.tree).encode(),
+                   std.samples.tobytes(), std.weights.tobytes(),
+                   dm.weights.tobytes(), repr(evidence).encode())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name):
     assert case_digest(name) == GOLDEN[name]
+
+
+KDE_GOLDEN = {
+    1:
+        "d2350e957003dd9e0addc1ce7c476a119de49d1c0b6facb4b046c253db404e91",
+    2:
+        "92e106c83fcf4af0a574bcccc1966cc4b5bc94688e8091c899abead78dfc7234",
+    3:
+        "0649a1e90e3aa4c7d2d0343b61701c061d04cb5b6bafef03ec4988b3a6489074",
+}
+
+
+@pytest.mark.parametrize("dims", sorted(KDE_GOLDEN))
+def test_golden_kde_density(dims):
+    # 1000 model points give blocks of 4194 rows, so 5000 queries span two
+    rng = np.random.default_rng(derive_seed(5150, "kde", dims))
+    model = kde_fit(rng.normal(0.0, 0.4, size=(1000, dims)), bandwidth=0.07)
+    query = rng.uniform(-1.0, 1.0, size=(5000, dims))
+    assert _digest(model(query).tobytes()) == KDE_GOLDEN[dims]
+
+
+PMC_DM_GOLDEN = {
+    1:
+        "41402c4d1073442efbc8c5af2726f386c983d3a147d94f36dcc08f50e96ae3f5",
+    2:
+        "ad486e15ec712537b9ac4b913e34a7aeef8e2cf9d22e9ecaed17ae979521a726",
+    3:
+        "09b160af125ff9cdaad319f2b0fe60b4a1a78f8044ec23cd98d611740c2b5dbd",
+}
+
+
+@pytest.mark.parametrize("dims", sorted(PMC_DM_GOLDEN))
+def test_golden_pmc_dm(dims):
+    target = make_gmm5_target(
+        np.random.default_rng(derive_seed(5150, "target", "pmc", dims)), dims)
+    config = PMCConfig(dims=dims, population_size=64, iterations=6,
+                       dm_weights=True, seed=derive_seed(5150, "pmc", dims))
+    sample_set, locations = run_pmc(target, config)
+    assert _digest(sample_set.samples.tobytes(), sample_set.weights.tobytes(),
+                   locations.tobytes()) == PMC_DM_GOLDEN[dims]
+
+
+ROW_GOLDEN = {
+    ("mh", 1):
+        "c6c0a5d6a1b49821deaba5398fa7f5ede3d2545f4f3844f1831d3300a4e1a6ed",
+    ("mh", 2):
+        "ced116981726a430122d932a8614611315c12b55bc34bfd2f757756e5b224e60",
+    ("pmc-dm", 1):
+        "2f19b5d4ab14a14087a4b6817eebf4a2b425e926f77496efacd0169b79d0d795",
+    ("pmc-dm", 2):
+        "9e97d7151e7daa673681bf8d89806d5d85540b281bbc77980582fcb341f46bd2",
+    ("tpais-gauss", 1):
+        "1880705b19b9dac8da7023cec528db292fde8fd57f9a3c742d4105f924a6d1d1",
+    ("tpais-gauss", 2):
+        "9eb0b9bfddcd71cd7132a6550c87026113f63b9ce67a42fd2d73af320c913626",
+}
+
+
+@pytest.mark.parametrize("method,dims", sorted(ROW_GOLDEN))
+def test_golden_run_single_row(method, dims):
+    spec = ExperimentSpec(methods=(method,), families=("gmm5",), dims=(dims,),
+                          sample_counts=(96,), trials=1, base_seed=5150,
+                          jsd_points=5000)
+    row = run_single(spec, method, "gmm5", dims, 96, 0)
+    assert row.error is None
+    values = repr((row.ness, row.jsd, row.evidence_mse)).encode()
+    assert _digest(values) == ROW_GOLDEN[(method, dims)]

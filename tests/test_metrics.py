@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grow_random_tree
+from tpais import proposal
+from tpais.baselines import PMCConfig, run_pmc
 from tpais.metrics import (LN2, KDEModel, ess_is, ess_mcmc, evidence_estimate,
                            evidence_mse, expectation_estimate, jsd,
                            kde_density, kde_fit, kl_mc, ness_is,
                            normalized_weights)
-from tpais.targets import GaussianMixture
+from tpais.proposal import Kernel, TreeProposal
+from tpais.targets import GaussianMixture, make_gmm5_target
 from tpais.tree import DomainBounds
 
 BOUNDS_1D = DomainBounds.centered(1)
@@ -181,7 +185,7 @@ def test_kde_symmetry_and_translation():
                                shifted.density(np.array([0.35])), rtol=1e-12)
 
 
-def test_kde_batch_chunking_consistent():
+def test_kde_batch_chunking_consistent(monkeypatch):
     rng = np.random.default_rng(23)
     pts = rng.standard_normal((500, 2))
     model = kde_fit(pts, bandwidth=0.3)
@@ -191,13 +195,36 @@ def test_kde_batch_chunking_consistent():
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
     assert kde_density(model, query[0]) == model(query[0])
 
+    # every user of the shared kernel sum, in one block and then in many:
+    # 3500 pairs give blocks of 7 query rows (1000 % 7 != 0), 54 PMC
+    # samples (64 % 54 != 0) and 3500 // L mixture points
+    target = make_gmm5_target(np.random.default_rng(24), 2)
+    pmc = PMCConfig(dims=2, population_size=64, iterations=3, dm_weights=True,
+                    seed=25)
+    tree = grow_random_tree(2, 60, np.random.default_rng(26))
+    mixture = TreeProposal(tree, Kernel.GAUSSIAN)
+    one_block = (model(query), run_pmc(target, pmc)[0].weights,
+                 mixture(query))
+    monkeypatch.setattr(proposal, "_BLOCK_PAIRS", 3500)
+    assert 1000 % (3500 // len(tree.leaves())) != 0
+    np.testing.assert_array_equal(model(query), one_block[0])
+    np.testing.assert_array_equal(run_pmc(target, pmc)[0].weights,
+                                  one_block[1])
+    # k @ comp groups its sums by block row count, so only nearly equal
+    np.testing.assert_allclose(mixture(query), one_block[2], rtol=1e-12)
+
 
 def test_kde_validation():
     with pytest.raises(ValueError):
         KDEModel(np.zeros((2, 1)), 0.0)
+    with pytest.raises(ValueError):
+        KDEModel(np.zeros((2, 1)), math.nan)
     model = kde_fit(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         model.density(np.zeros(2))
+    for empty in (np.empty((0, 1)), np.empty((0, 2)), []):
+        with pytest.raises(ValueError, match="non-empty"):
+            kde_fit(empty)
 
 
 def test_evidence_estimate_and_mse():

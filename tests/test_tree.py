@@ -37,6 +37,13 @@ def test_bounds_rejects_inverted_and_flat():
         DomainBounds(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
 
 
+def test_bounds_rejects_non_finite():
+    for lo, hi in (([-math.inf], [math.inf]), ([0.0], [math.inf]),
+                   ([math.nan], [1.0]), ([0.0, 0.0], [1.0, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            DomainBounds(np.array(lo), np.array(hi))
+
+
 def test_bounds_rejects_non_hypercube():
     with pytest.raises(ValueError):
         DomainBounds(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
