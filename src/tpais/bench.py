@@ -48,6 +48,8 @@ class ExperimentSpec:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "sample_counts",
                            tuple(int(n) for n in self.sample_counts))
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "jsd_points", int(self.jsd_points))
         object.__setattr__(self, "kde_bandwidth", float(self.kde_bandwidth))
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:

@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = spec_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .proposal import _as_batch, gaussian_kernel_sum
-from .tree import DomainBounds
+from .proposal import gaussian_kernel_sum
+from .sampler import _eval_target
+from .tree import DomainBounds, _as_batch
 
 LN2 = math.log(2.0)
 
@@ -95,11 +96,11 @@ def kl_mc(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float
 
     Uses ``n`` uniform draws scaled by the domain volume. Points where
     ``p == 0`` contribute zero; any point with ``p > 0`` and ``q == 0``
-    makes the divergence infinite.
+    makes the divergence infinite. A density that breaks the target
+    contract (finite, non-negative, shape (n,)) raises ``ValueError``.
     """
     pts = _uniform_points(bounds, n, rng)
-    pv = np.asarray(p(pts), dtype=float)
-    qv = np.asarray(q(pts), dtype=float)
+    pv, qv = _eval_target(p, pts), _eval_target(q, pts)
     support = pv > 0.0
     if np.any(qv[support] <= 0.0):
         return math.inf
@@ -115,11 +116,11 @@ def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
     the estimate exactly symmetric in ``p`` and ``q`` for a given ``rng``
     state. The integrand is pointwise non-negative, so the estimate is
     never negative, and the mixture midpoint never vanishes where either
-    density is positive, so the estimate is always finite.
+    density is positive, so the estimate is always finite. A density that
+    breaks the target contract raises ``ValueError``, as in :func:`kl_mc`.
     """
     pts = _uniform_points(bounds, n, rng)
-    pv = np.asarray(p(pts), dtype=float)
-    qv = np.asarray(q(pts), dtype=float)
+    pv, qv = _eval_target(p, pts), _eval_target(q, pts)
     mid = 0.5 * (pv + qv)
     terms = np.zeros(n)
     mask_p = pv > 0.0

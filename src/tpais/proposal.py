@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .tree import Node, TreePyramid
+from .tree import Node, TreePyramid, _as_batch
 
 
 class Kernel(enum.Enum):
@@ -21,18 +21,6 @@ class Kernel(enum.Enum):
 
     UNIFORM = "uniform"
     GAUSSIAN = "gaussian"
-
-
-def _as_batch(x, dims: int):
-    """Coerce a point or batch of points to shape (n, dims)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != dims:
-            raise ValueError(f"point has {x.shape[0]} coordinates, expected {dims}")
-        return x[None, :], True
-    if x.ndim != 2 or x.shape[1] != dims:
-        raise ValueError(f"expected points of shape (n, {dims})")
-    return x, False
 
 
 def component_density(node: Node, x, kernel: Kernel):
@@ -54,7 +42,14 @@ def component_density(node: Node, x, kernel: Kernel):
     return float(out[0]) if single else out
 
 
-_BLOCK_PAIRS = 1 << 22  # cap on point-component pairs per kernel block
+_BLOCK_PAIRS = 1 << 22  # cap on point-component pairs per block
+
+
+def _row_blocks(n: int, m: int):
+    """Slices over ``n`` point rows, each of at least one row and otherwise
+    of at most ``_BLOCK_PAIRS`` pairs of a point and one of ``m`` columns."""
+    step = max(1, _BLOCK_PAIRS // m)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def gaussian_kernel_sum(points, centers, scale, reduce):
@@ -69,10 +64,9 @@ def gaussian_kernel_sum(points, centers, scale, reduce):
     """
     cols = np.ascontiguousarray(centers.T)
     out = np.empty(points.shape[0])
-    step = max(1, _BLOCK_PAIRS // cols.shape[1])
-    for start in range(0, points.shape[0], step):
+    for rows in _row_blocks(points.shape[0], cols.shape[1]):
         z2 = None
-        for x, col in zip(points[start:start + step].T, cols):
+        for x, col in zip(points[rows].T, cols):
             z = x[:, None] - col
             z /= scale
             z *= z
@@ -81,16 +75,53 @@ def gaussian_kernel_sum(points, centers, scale, reduce):
             else:
                 z2 += z
         z2 *= -0.5
-        out[start:start + step] = reduce(np.exp(z2, out=z2))
+        out[rows] = reduce(np.exp(z2, out=z2))
     return out
 
 
 class TreeProposal:
-    """Equal-weight mixture of one component per current leaf."""
+    """Equal-weight mixture of one component per current leaf.
+
+    ``rows`` arguments name leaves by their row in ``tree.store``: a slice
+    (read as a view, as for the children of one split) or an int array.
+    """
 
     def __init__(self, tree: TreePyramid, kernel: Kernel = Kernel.UNIFORM):
         self.tree = tree
         self.kernel = kernel
+
+    def draw(self, rows, rng: np.random.Generator):
+        """One draw from the component of each leaf at ``rows``; returns
+        the points (n, K) and each point's density under its own
+        component."""
+        store = self.tree.store
+        if isinstance(rows, slice):
+            centers, radii = store.center[rows], store.radius[rows]
+        else:
+            centers, radii = store.center.take(rows, 0), store.radius.take(rows)
+        n, dims = centers.shape
+        if self.kernel is Kernel.UNIFORM:
+            u = rng.random((n, dims))
+            points = centers + (2.0 * u - 1.0) * radii[:, None]
+            own = 1.0 / (2.0 * radii) ** dims
+        else:
+            z = rng.standard_normal((n, dims))
+            points = centers + z * radii[:, None]
+            own = (np.exp(-0.5 * np.sum(z * z, axis=1))
+                   / (radii * math.sqrt(2.0 * math.pi)) ** dims)
+        return points, own
+
+    def own_density(self, rows, points):
+        """Density of each of ``points`` (n, K) under the component of the
+        leaf at the same place in ``rows`` (an int array of n leaf rows);
+        the uniform component is zero unless the point lies in that leaf."""
+        tree, store = self.tree, self.tree.store
+        if self.kernel is Kernel.UNIFORM:
+            return (tree.locate(points) == rows) / tree.per_level(
+                lambda r: (2.0 * r) ** tree.dims, rows)
+        z = (points - store.center[rows]) / store.radius[rows][:, None]
+        return np.exp(-0.5 * np.sum(z * z, axis=1)) / tree.per_level(
+            lambda r: (r * math.sqrt(2.0 * math.pi)) ** tree.dims, rows)
 
     def density(self, x):
         """Mixture density ``mean_i D(x; leaf_i)`` at one point or a batch.

@@ -100,20 +100,12 @@ def _eval_target(target, x) -> np.ndarray:
     return vals
 
 
-def _batch_draw(centers, radii, kernel: Kernel, rng: np.random.Generator):
-    """One draw per component with the given centers (n, K) and radii (n,);
-    returns the points and each point's density under its own component."""
-    n, dims = centers.shape
-    if kernel is Kernel.UNIFORM:
-        u = rng.random((n, dims))
-        points = centers + (2.0 * u - 1.0) * radii[:, None]
-        own = 1.0 / (2.0 * radii) ** dims
-    else:
-        z = rng.standard_normal((n, dims))
-        points = centers + z * radii[:, None]
-        own = (np.exp(-0.5 * np.sum(z * z, axis=1))
-               / (radii * math.sqrt(2.0 * math.pi)) ** dims)
-    return points, own
+def _weights(values, density) -> np.ndarray:
+    """Importance weights ``values / density``; the density must be
+    positive at every point, or the point could not have been drawn."""
+    if not (density > 0.0).all():
+        raise ValueError("proposal density is zero at a sample")
+    return values / density
 
 
 def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
@@ -135,8 +127,10 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         iteration redraws all current leaves in place and only the final
         per-leaf samples are returned. Deterministic-mixture weights in the
         returned set are evaluated against the mixture as it stood when
-        each sample was drawn; use :func:`leaf_sample_set` to re-weight
-        the final leaves against the finished tree.
+        each sample was drawn, so each carries the leaf count of its own
+        iteration: even with the uniform kernel their normalized values
+        differ from the standard ones. :func:`leaf_sample_set` re-weights
+        the final leaves against the finished tree, where the two agree.
 
     Notes
     -----
@@ -158,49 +152,33 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     use_heap = greedy and not config.resample_leaves
     frontier = []  # (-target_value * radius**K, row) of every leaf
 
-    def sample_nodes(rows, centers, radii):
-        points, own = _batch_draw(centers, radii, config.kernel, rng)
+    def sample_nodes(rows):
+        points, q = proposal.draw(rows, rng)
         values = _eval_target(target, points)
-        if config.weighting is Weighting.STANDARD:
-            if (own <= 0.0).any():
-                raise ValueError("sample fell outside its own component's "
-                                 "support")
-            weights = values / own
-        else:
+        if config.weighting is Weighting.DETERMINISTIC_MIXTURE:
             q = proposal.density(points)
-            if (q <= 0.0).any():
-                raise ValueError("proposal mixture density is zero at a "
-                                 "sample")
-            weights = values / q
+        store.weight[rows] = _weights(values, q)
         store.sample[rows] = points
         store.target_value[rows] = values
-        store.weight[rows] = weights
         return values
 
     def sample_new(first, count):
-        rows = slice(first, first + count)
-        values = sample_nodes(rows, store.center[rows], store.radius[rows])
+        values = sample_nodes(slice(first, first + count))
         if use_heap:
             radius_pow = float(store.radius[first]) ** dims
             for row, f in enumerate(values.tolist(), start=first):
                 heapq.heappush(frontier, (-(f * radius_pow), row))
 
-    def reported_count() -> int:
-        if config.resample_leaves:
-            splits = (len(tree) - 1) // 2 ** dims
-            return 1 + splits * (2 ** dims - 1)
-        return len(tree)
-
+    # each split adds 2**K samples, or 2**K - 1 when only leaves are kept
+    grown = 2 ** dims - 1 if config.resample_leaves else 2 ** dims
     sample_new(0, 1)
-    while reported_count() < config.n_samples:
-        if config.resample_leaves:
-            leaves = store.leaf_indices()
-            sample_nodes(leaves, store.center.take(leaves, axis=0),
-                         store.radius.take(leaves))
+    for _ in range(math.ceil((config.n_samples - 1) / grown)):
         if use_heap:
             chosen = heapq.heappop(frontier)[1]
         else:
             leaves = store.leaf_indices()
+            if config.resample_leaves:
+                sample_nodes(leaves)
             if greedy:
                 scores = store.target_value[leaves] * tree.per_level(
                     lambda r: r ** dims, leaves)
@@ -210,13 +188,10 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         children = tree.expand(tree.node(chosen))
         sample_new(children[0].index, len(children))
 
-    if config.resample_leaves:
-        leaves = store.leaf_indices()
-        sample_set = WeightedSampleSet(store.sample[leaves],
-                                       store.weight[leaves])
-    else:
-        sample_set = WeightedSampleSet(store.sample[:len(tree)].copy(),
-                                       store.weight[:len(tree)].copy())
+    rows = (store.leaf_indices() if config.resample_leaves
+            else np.arange(len(tree)))
+    sample_set = WeightedSampleSet(store.sample.take(rows, axis=0),
+                                   store.weight.take(rows))
     return TPAISResult(sample_set, tree, config)
 
 
@@ -233,28 +208,10 @@ def leaf_sample_set(tree: TreePyramid, kernel: Kernel,
     samples = store.sample[leaves]
     if np.isnan(samples).any():
         raise ValueError("every leaf must hold a sample")
-    values = store.target_value[leaves]
-    if weighting is Weighting.STANDARD:
-        if kernel is Kernel.UNIFORM:
-            own = (tree.locate(samples) == leaves) / tree.per_level(
-                lambda r: (2.0 * r) ** tree.dims, leaves)
-        else:
-            z = ((samples - store.center[leaves])
-                 / store.radius[leaves][:, None])
-            own = np.exp(-0.5 * np.sum(z * z, axis=1)) / tree.per_level(
-                lambda r: (r * math.sqrt(2.0 * math.pi)) ** tree.dims, leaves)
-        if np.any(own <= 0.0):
-            raise ValueError("a leaf sample fell outside its own component's "
-                             "support")
-        weights = values / own
-    else:
-        proposal = TreeProposal(tree, kernel)
-        q = proposal.density(samples)
-        if np.any(q <= 0.0):
-            raise ValueError("proposal mixture density is zero at a leaf "
-                             "sample")
-        weights = values / q
-    return WeightedSampleSet(samples, weights)
+    proposal = TreeProposal(tree, kernel)
+    q = (proposal.own_density(leaves, samples)
+         if weighting is Weighting.STANDARD else proposal.density(samples))
+    return WeightedSampleSet(samples, _weights(store.target_value[leaves], q))
 
 
 def evidence_from_tree(target, tree: TreePyramid, kernel: Kernel,
@@ -268,12 +225,7 @@ def evidence_from_tree(target, tree: TreePyramid, kernel: Kernel,
     refinement keeps exactly the leaves whose draws understated their cell
     mass.
     """
-    store = tree.store
-    leaves = store.leaf_indices()
-    points, _ = _batch_draw(store.center[leaves], store.radius[leaves], kernel,
-                            rng)
+    proposal = TreeProposal(tree, kernel)
+    points, _ = proposal.draw(tree.store.leaf_indices(), rng)
     values = _eval_target(target, points)
-    q = TreeProposal(tree, kernel).density(points)
-    if np.any(q <= 0.0):
-        raise ValueError("proposal mixture density is zero at a fresh draw")
-    return float(np.mean(values / q))
+    return float(np.mean(_weights(values, proposal.density(points))))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import DomainBounds
+from .proposal import _row_blocks
+from .tree import DomainBounds, _as_batch
 
 EGG_MODE_COORDS = (-0.6, -0.2, 0.2, 0.6)
 EGG_MAX_DIMS = 7
@@ -60,17 +61,18 @@ class GaussianMixture:
         return self.means.shape[1]
 
     def density(self, x):
-        """Mixture pdf at one point (K,) or a batch (n, K)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        if pts.shape[1] != self.dims:
-            raise ValueError(f"expected points with {self.dims} coordinates")
-        # (n, m, K) standardized squared distances against each component
-        z2 = (pts[:, None, :] - self.means[None, :, :]) ** 2 / self.variances
-        log_norm = 0.5 * np.sum(np.log(2.0 * math.pi * self.variances), axis=1)
-        comp = np.exp(-0.5 * np.sum(z2, axis=2) - log_norm[None, :])
-        out = comp @ self.weights
+        """Mixture pdf at one point (K,) or a batch (n, K), taken in blocks
+        of rows with a bounded number of point-component pairs."""
+        pts, single = _as_batch(x, self.dims)
+        log_norm = 0.5 * np.log(2.0 * math.pi * self.variances).sum(axis=1)
+        out = np.empty(pts.shape[0])
+        for rows in _row_blocks(pts.shape[0], self.n_components):
+            # (rows, m, K) standardized squared distances to each component
+            z2 = pts[rows, None, :] - self.means
+            np.square(z2, out=z2)
+            z2 /= self.variances
+            z2 = z2.sum(axis=2)  # frees the block before the next one
+            out[rows] = np.exp(-0.5 * z2 - log_norm) @ self.weights
         return float(out[0]) if single else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,6 +27,18 @@ class DepthLimitError(RuntimeError):
     """Raised when expanding a node would exceed the tree's depth cap."""
 
 
+def _as_batch(x, dims: int):
+    """Coerce a point or batch to shape (n, dims); flags a single point."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        if x.shape[0] != dims:
+            raise ValueError(f"point has {x.shape[0]} coordinates, expected {dims}")
+        return x[None, :], True
+    if x.ndim != 2 or x.shape[1] != dims:
+        raise ValueError(f"expected points of shape (n, {dims})")
+    return x, False
+
+
 @dataclass(frozen=True)
 class DomainBounds:
     """Axis-aligned hypercube domain ``[lower_d, upper_d]`` for each dimension.
@@ -225,10 +237,9 @@ class Node:
         this node (see the module docstring); the root holds the closed
         domain box.
         """
-        x = np.asarray(x, dtype=float)
-        rows = self.tree._descend(np.atleast_2d(x), self.level)
-        inside = rows == self.index
-        return bool(inside[0]) if x.ndim == 1 else inside
+        pts, single = _as_batch(x, self.dims)
+        inside = self.tree._descend(pts, self.level) == self.index
+        return bool(inside[0]) if single else inside
 
 
 class TreePyramid:

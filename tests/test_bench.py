@@ -44,6 +44,13 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(kde_bandwidth="wide")
     assert ExperimentSpec().sample_counts == DEFAULT_SAMPLE_COUNTS
+    # counts from a config file may arrive as strings
+    spec = ExperimentSpec(trials="2", jsd_points="300")
+    assert (spec.trials, spec.jsd_points) == (2, 300)
+    for field in ("trials", "jsd_points"):
+        for bad in ("two", "0"):
+            with pytest.raises(ValueError):
+                ExperimentSpec(**{field: bad})
 
 
 def test_row_count_matches_matrix():
@@ -187,6 +194,14 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert main(["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("trials", ["two", None])
+def test_cli_rejects_non_numeric_config_count(tmp_path, capsys, trials):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"trials": trials}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_rejects_zero_kde_bandwidth(tmp_path, capsys):

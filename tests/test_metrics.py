@@ -158,6 +158,21 @@ def test_jsd_never_negative_fuzz():
         assert 0.0 <= val <= LN2 + 1e-12
 
 
+@pytest.mark.parametrize("divergence", [jsd, kl_mc])
+def test_divergences_enforce_density_contract(divergence):
+    model = make_gmm5_target(np.random.default_rng(4), 1).model
+    negative = lambda x: -model.density(x)
+    with_nan = lambda x: np.where(x[:, 0] > 0.5, np.nan, model.density(x))
+    column = lambda x: model.density(x)[:, None]
+    for p, q, message in ((model.density, negative, "negative"),
+                          (model.density, with_nan, "non-finite"),
+                          (with_nan, model.density, "non-finite"),
+                          (model.density, column, r"shape \(2000, 1\)"),
+                          (column, model.density, r"shape \(2000, 1\)")):
+        with pytest.raises(ValueError, match=message):
+            divergence(p, q, BOUNDS_1D, 2000, np.random.default_rng(6))
+
+
 def test_kde_single_point_peak():
     model = kde_fit(np.array([[0.0]]), bandwidth=1.0)
     assert abs(model.density(np.array([0.0]))

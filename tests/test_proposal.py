@@ -8,7 +8,6 @@ import pytest
 from conftest import dyadic_midpoint_grid, grow_random_tree
 from tpais.proposal import (Kernel, TreeProposal, component_density,
                             mixture_weights, sample_mixture)
-from tpais.sampler import _batch_draw
 from tpais.tree import DomainBounds, TreePyramid
 
 
@@ -135,9 +134,70 @@ def test_callable_alias():
 
 
 def _leaf_draws(leaf, kernel, n, rng):
-    """``n`` draws from one leaf's component, one per copy of the leaf."""
-    centers = np.tile(leaf.center, (n, 1))
-    return _batch_draw(centers, np.full(n, leaf.radius), kernel, rng)[0]
+    """``n`` draws from one leaf's component, one per repeat of its row."""
+    rows = np.full(n, leaf.index)
+    return TreeProposal(leaf.tree, kernel).draw(rows, rng)[0]
+
+
+def _random_trees(rng):
+    """Random trees in 1-3D on [-1, 1]**K, plus one on a non-dyadic domain
+    (lower 0.8217701239287258, width 1.4219548974429648)."""
+    trees = [grow_random_tree(dims, int(rng.integers(1, 12)), rng)
+             for dims in (1, 2, 3)]
+    lower = np.full(2, 0.8217701239287258)
+    odd = TreePyramid(DomainBounds(lower, lower + 1.4219548974429648))
+    for _ in range(15):
+        leaves = odd.leaves()
+        odd.expand(leaves[int(rng.integers(len(leaves)))])
+    return trees + [odd]
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_own_density_matches_component_density(kernel):
+    # each leaf's own component, evaluated at its own draw and at points
+    # scattered over the domain (mostly outside the leaf), bit for bit
+    rng = np.random.default_rng(31)
+    for tree in _random_trees(rng):
+        prop = TreeProposal(tree, kernel)
+        leaves = tree.leaves()
+        rows = np.array([leaf.index for leaf in leaves])
+        points, _ = prop.draw(rows, rng)
+        lo, hi = tree.bounds.lower, tree.bounds.upper
+        for pts in (points, rng.uniform(lo, hi, size=points.shape)):
+            expected = [component_density(leaf, x, kernel)
+                        for leaf, x in zip(leaves, pts)]
+            assert prop.own_density(rows, pts).tolist() == expected
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_draw_own_is_component_density(kernel):
+    rng = np.random.default_rng(32)
+    for tree in _random_trees(rng):
+        prop = TreeProposal(tree, kernel)
+        leaves = tree.leaves()
+        rows = np.array([leaf.index for leaf in leaves])
+        points, own = prop.draw(rows, rng)
+        expected = [component_density(leaf, x, kernel)
+                    for leaf, x in zip(leaves, points)]
+        np.testing.assert_allclose(own, expected, rtol=1e-12, atol=0.0)
+        if kernel is Kernel.UNIFORM:
+            assert np.array_equal(tree.locate(points), rows)
+        # the new children of a split, passed as a slice, draw the same way
+        children = tree.expand(leaves[-1])
+        first = children[0].index
+        points, own = prop.draw(slice(first, first + len(children)), rng)
+        expected = [component_density(child, x, kernel)
+                    for child, x in zip(children, points)]
+        np.testing.assert_allclose(own, expected, rtol=1e-12, atol=0.0)
+
+
+def test_draw_slice_and_rows_agree():
+    tree = grow_random_tree(2, 5, np.random.default_rng(33))
+    prop = TreeProposal(tree, Kernel.GAUSSIAN)
+    a = prop.draw(slice(5, 9), np.random.default_rng(34))
+    b = prop.draw(np.arange(5, 9), np.random.default_rng(34))
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_sample_leaf_uniform_support_and_mean():

@@ -9,7 +9,7 @@ import pytest
 from tpais.bench import derive_seed
 from tpais.proposal import Kernel, TreeProposal
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
-                           WeightedSampleSet, _batch_draw, evidence_from_tree,
+                           WeightedSampleSet, evidence_from_tree,
                            leaf_sample_set, run_tp_ais)
 from tpais.targets import GaussianMixture, make_gmm5_target
 from tpais.tree import DepthLimitError, DomainBounds, TreePyramid
@@ -222,11 +222,9 @@ def test_weight_helpers():
     # standard weights divide by the draw's own component density, DM
     # weights by the mixture density; on a single-leaf tree they agree
     tree = TreePyramid(DomainBounds.centered(1))
-    _, own = _batch_draw(tree.root.center[None, :],
-                         np.array([tree.root.radius]), Kernel.UNIFORM,
-                         np.random.default_rng(0))
-    assert 0.4 / own[0] == 0.8
     prop = TreeProposal(tree, Kernel.UNIFORM)
+    _, own = prop.draw(np.array([tree.root.index]), np.random.default_rng(0))
+    assert 0.4 / own[0] == 0.8
     assert 0.4 / prop.density(np.array([0.3])) == 0.8
     # outside the domain the mixture density is zero, which the sampler
     # rejects instead of dividing by it

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tpais import proposal
 from tpais.targets import (EGG_MODE_COORDS, GaussianMixture, make_egg_target,
                            make_gmm5_target, make_normal_target)
 from tpais.tree import DomainBounds
@@ -35,6 +36,24 @@ def test_density_batch_matches_single():
     batch = model.density(pts)
     singles = np.array([model.density(p) for p in pts])
     np.testing.assert_allclose(batch, singles, rtol=1e-14)
+
+
+def test_density_blocks_match_one_block(monkeypatch):
+    # 3D egg: 64 components, so a cap of 3500 pairs gives blocks of 54 rows
+    # (1000 % 54 != 0); each block's comp @ weights may round differently
+    model = make_egg_target(3).model
+    pts = np.random.default_rng(2).uniform(-1, 1, size=(1000, 3))
+    one_block = model.density(pts)
+    monkeypatch.setattr(proposal, "_BLOCK_PAIRS", 3500)
+    np.testing.assert_allclose(model.density(pts), one_block, rtol=1e-12)
+    assert model.density(pts[7]) == pytest.approx(one_block[7], rel=1e-12)
+
+
+def test_density_rejects_wrong_width():
+    model = make_gmm5_target(np.random.default_rng(3), 2).model
+    for bad in (np.zeros(3), np.zeros((4, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            model.density(bad)
 
 
 def test_mixture_validation():

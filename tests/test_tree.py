@@ -193,6 +193,19 @@ def test_find_leaf_rejects_outside_point():
     assert tree.locate(np.array([[1.5, 0.0], [1.0, -1.0]])).tolist() == [-1, 0]
 
 
+def test_contains_rejects_wrong_width():
+    tree = TreePyramid(DomainBounds.centered(2))
+    child = tree.expand(tree.root)[0]
+    for node in (tree.root, child):
+        with pytest.raises(ValueError, match="coordinates"):
+            node.contains(np.array([0.5]))
+        with pytest.raises(ValueError, match="shape"):
+            node.contains(np.zeros((3, 3)))
+    assert tree.root.contains(np.array([0.5, 0.5])) is True
+    assert child.contains(np.array([[0.5, 0.5], [-0.5, 0.5]])).tolist() == [
+        True, False]
+
+
 def test_expand_non_leaf_rejected():
     tree = TreePyramid(DomainBounds.centered(1))
     tree.expand(tree.root)
