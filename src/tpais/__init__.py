@@ -7,8 +7,7 @@ from .metrics import (KDEModel, ess_is, ess_mcmc, evidence_estimate,
                       evidence_mse, expectation_estimate, jsd, kde_density,
                       kde_fit, kl_mc, ness_is)
 from .plots import emit_plots
-from .proposal import (Kernel, TreeProposal, component_density,
-                       mixture_weights, sample_mixture)
+from .proposal import Kernel, TreeProposal
 from .sampler import (NodeSelection, SamplerConfig, TPAISResult, Weighting,
                       WeightedSampleSet, evidence_from_tree, leaf_sample_set,
                       run_tp_ais)
@@ -24,12 +23,10 @@ __all__ = [
     "DomainBounds", "ExperimentSpec", "GaussianMixture", "KDEModel", "Kernel",
     "MHConfig", "Node", "NodeSelection", "PMCConfig", "ResultRow",
     "SamplerConfig", "TargetDensity", "TPAISResult", "TreeProposal",
-    "TreePyramid", "WeightedSampleSet", "Weighting", "component_density",
-    "derive_seed", "emit_csv", "emit_plots", "ess_is", "ess_mcmc",
-    "evidence_estimate", "evidence_from_tree", "evidence_mse",
-    "expectation_estimate", "jsd", "kde_density", "kde_fit", "kl_mc",
-    "leaf_sample_set", "make_egg_target", "make_gmm5_target",
-    "make_normal_target", "mixture_weights", "ness_is", "run_experiments",
-    "run_mh", "run_pmc", "run_single", "run_tp_ais", "sample_mixture",
-    "serialize_tree",
+    "TreePyramid", "WeightedSampleSet", "Weighting", "derive_seed", "emit_csv",
+    "emit_plots", "ess_is", "ess_mcmc", "evidence_estimate",
+    "evidence_from_tree", "evidence_mse", "expectation_estimate", "jsd",
+    "kde_density", "kde_fit", "kl_mc", "leaf_sample_set", "make_egg_target",
+    "make_gmm5_target", "make_normal_target", "ness_is", "run_experiments",
+    "run_mh", "run_pmc", "run_single", "run_tp_ais", "serialize_tree",
 ]

@@ -29,6 +29,17 @@ CSV_COLUMNS = ("method", "family", "dims", "N", "trial", "seed", "ness",
                "jsd", "evidence_mse", "wall_time_seconds")
 
 
+def _count(key: str, value) -> int:
+    """``value`` as an int; a ``ValueError`` naming ``key`` unless it is a
+    whole number >= 1 or a string spelling one (config files may hold "2")."""
+    try:
+        if int(value) == float(value) >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{key} must be a whole number >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Full description of a benchmark matrix."""
@@ -45,11 +56,11 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "sample_counts",
-                           tuple(int(n) for n in self.sample_counts))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "jsd_points", int(self.jsd_points))
+        for key in ("dims", "sample_counts"):
+            object.__setattr__(self, key, tuple(
+                _count(key, n) for n in getattr(self, key)))
+        for key in ("trials", "jsd_points"):
+            object.__setattr__(self, key, _count(key, getattr(self, key)))
         object.__setattr__(self, "kde_bandwidth", float(self.kde_bandwidth))
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
@@ -59,11 +70,6 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown families: {unknown}; "
                              f"available: {sorted(FAMILIES)}")
-        if self.trials < 1 or self.jsd_points < 1:
-            raise ValueError("trials and jsd_points must be >= 1")
-        if any(n < 1 for n in self.sample_counts) or any(
-                d < 1 for d in self.dims):
-            raise ValueError("sample counts and dims must be >= 1")
         if not 0.0 < self.kde_bandwidth < math.inf:
             raise ValueError("kde_bandwidth must be positive and finite")
 

@@ -185,8 +185,7 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
                 chosen = leaves[int(np.argmax(scores))]
             else:
                 chosen = leaves[sample_mixture(mixture_weights(tree), rng)]
-        children = tree.expand(tree.node(chosen))
-        sample_new(children[0].index, len(children))
+        sample_new(tree.expand(chosen), 2 ** dims)
 
     rows = (store.leaf_indices() if config.resample_leaves
             else np.arange(len(tree)))

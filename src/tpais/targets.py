@@ -51,6 +51,7 @@ class GaussianMixture:
         if np.any(self.weights < 0.0) or not math.isclose(
                 self.weights.sum(), 1.0, rel_tol=1e-9):
             raise ValueError("weights must be non-negative and sum to 1")
+        self._log_norm = 0.5 * np.log(2.0 * math.pi * self.variances).sum(1)
 
     @property
     def n_components(self) -> int:
@@ -64,7 +65,6 @@ class GaussianMixture:
         """Mixture pdf at one point (K,) or a batch (n, K), taken in blocks
         of rows with a bounded number of point-component pairs."""
         pts, single = _as_batch(x, self.dims)
-        log_norm = 0.5 * np.log(2.0 * math.pi * self.variances).sum(axis=1)
         out = np.empty(pts.shape[0])
         for rows in _row_blocks(pts.shape[0], self.n_components):
             # (rows, m, K) standardized squared distances to each component
@@ -72,7 +72,7 @@ class GaussianMixture:
             np.square(z2, out=z2)
             z2 /= self.variances
             z2 = z2.sum(axis=2)  # frees the block before the next one
-            out[rows] = np.exp(-0.5 * z2 - log_norm) @ self.weights
+            out[rows] = np.exp(-0.5 * z2 - self._log_norm) @ self.weights
         return float(out[0]) if single else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

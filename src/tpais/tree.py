@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,9 +160,9 @@ def _optional_float(column: str, doc: str):
 class Node:
     """Handle on one cell of a tree pyramid: row ``index`` of ``tree.store``.
 
-    A tree keeps one handle per node, so handles compare by identity.
-    Every attribute reads or writes the store row, and the tree's arrays
-    stay the only copy of its geometry and draws.
+    Handles are made on demand and compare equal, and hash, by the tree
+    they belong to and their row. Every attribute reads or writes the store
+    row, and the tree's arrays stay the only copy of its geometry and draws.
 
     Attributes
     ----------
@@ -184,6 +185,13 @@ class Node:
         self.tree = tree
         self.index = index
 
+    def __eq__(self, other):
+        return (isinstance(other, Node) and self.tree is other.tree
+                and self.index == other.index)
+
+    def __hash__(self):
+        return hash((id(self.tree), self.index))
+
     @property
     def center(self) -> np.ndarray:
         return self.tree.store.center[self.index].copy()
@@ -199,9 +207,8 @@ class Node:
     @property
     def children(self) -> list["Node"]:
         first = int(self.tree.store.first_child[self.index])
-        if first < 0:
-            return []
-        return self.tree._nodes[first:first + 2 ** self.dims]
+        rows = range(first, first + 2 ** self.dims) if first >= 0 else ()
+        return [Node(self.tree, row) for row in rows]
 
     @property
     def sample(self):
@@ -247,8 +254,9 @@ class TreePyramid:
 
     The root cell is the whole domain (center ``(upper + lower) / 2``,
     radius ``(upper - lower) / 2``). Nodes live in ``store`` in creation
-    order, so the leaves in creation order are also their insertion order:
-    expanding a leaf removes it and appends its children.
+    order and are named by their row; the root is row 0. The leaves in
+    creation order are also their insertion order: expanding a leaf removes
+    it and appends its children.
     """
 
     def __init__(self, bounds: DomainBounds, max_depth: int = DEFAULT_MAX_DEPTH):
@@ -266,23 +274,15 @@ class TreePyramid:
         self.level_radii = [bounds.radius]  # radius of each level reached
         self._child_offsets = []  # half * signs for the children of a level
         self.store = NodeStore(self.dims)
-        self._nodes: list[Node] = []
-        self.root = self._add(bounds.center[None, :], bounds.radius, 0)[0]
+        self.store.append(bounds.center[None, :], bounds.radius, 0)
 
-    def _add(self, centers, radius, level) -> list[Node]:
-        first = self.store.append(centers, radius, level)
-        added = [Node(self, i) for i in range(first, self.store.size)]
-        self._nodes.extend(added)
-        return added
-
-    def node(self, index) -> Node:
-        """The handle of store row ``index``."""
-        return self._nodes[index]
+    @property
+    def root(self) -> Node:
+        return Node(self, 0)
 
     def leaves(self) -> list[Node]:
-        """Current leaf set in insertion order (do not mutate)."""
-        nodes = self._nodes
-        return [nodes[i] for i in self.store.leaf_indices().tolist()]
+        """Handles on the current leaves, in insertion order."""
+        return [Node(self, row) for row in self.store.leaf_indices().tolist()]
 
     def __len__(self) -> int:
         """Total number of nodes."""
@@ -299,15 +299,16 @@ class TreePyramid:
         table = np.array([fn(radius) for radius in self.level_radii])
         return table.take(self.store.level.take(index))
 
-    def expand(self, node: Node) -> list[Node]:
-        """Split a leaf into its 2**K children and return them.
+    def expand(self, row) -> int:
+        """Split the leaf at store row ``row`` into its 2**K children and
+        return the row of the first; the children take consecutive rows.
 
-        Raises ``ValueError`` for non-leaf nodes and ``DepthLimitError``
-        when the child level would exceed ``max_depth``.
+        Raises ``ValueError`` for a row that is not a leaf of this tree and
+        ``DepthLimitError`` when the child level would exceed ``max_depth``.
         """
-        store, i = self.store, node.index
-        if not store.is_leaf[i]:
-            raise ValueError("only leaf nodes can be expanded")
+        store, i = self.store, operator.index(row)
+        if not (0 <= i < store.size and store.is_leaf[i]):
+            raise ValueError(f"row {i} is not a leaf of this tree")
         level = int(store.level[i])
         if level >= self.max_depth:
             raise DepthLimitError(
@@ -317,11 +318,11 @@ class TreePyramid:
         if level + 1 == len(self.level_radii):
             self.level_radii.append(half)
             self._child_offsets.append(half * self._signs)
-        children = self._add(store.center[i] + self._child_offsets[level],
+        first = store.append(store.center[i] + self._child_offsets[level],
                              half, level + 1)
-        store.first_child[i] = children[0].index
+        store.first_child[i] = first
         store.is_leaf[i] = False
-        return children
+        return first
 
     def _descend(self, points, steps: int) -> np.ndarray:
         """Row reached by each point of ``points`` (n, K) after ``steps``
@@ -356,7 +357,7 @@ class TreePyramid:
         row = int(self.locate(np.asarray(x, dtype=float)[None, :])[0])
         if row < 0:
             raise ValueError("point lies outside the domain")
-        return self._nodes[row]
+        return Node(self, row)
 
 
 def serialize_tree(tree: TreePyramid) -> str:
@@ -366,23 +367,18 @@ def serialize_tree(tree: TreePyramid) -> str:
     fields are level, center coordinates, radius, weight and sample
     coordinates, space-separated, with ``-`` for unset values.
     """
-    lines = []
-
-    def fmt(value) -> str:
-        return repr(float(value))
-
-    def visit(node: Node):
-        fields = [str(node.level)]
-        fields.extend(fmt(c) for c in node.center)
-        fields.append(fmt(node.radius))
-        fields.append(fmt(node.weight) if node.weight is not None else "-")
-        if node.sample is not None:
-            fields.extend(fmt(s) for s in node.sample)
-        else:
-            fields.append("-")
+    store, fanout = tree.store, 2 ** tree.dims
+    lines, stack = [], [0]
+    while stack:
+        row = stack.pop()
+        weight, sample = float(store.weight[row]), store.sample[row].tolist()
+        fields = [str(store.level[row]),
+                  *map(repr, store.center[row].tolist()),
+                  repr(float(store.radius[row])),
+                  "-" if math.isnan(weight) else repr(weight),
+                  *(["-"] if math.isnan(sample[0]) else map(repr, sample))]
         lines.append(" ".join(fields))
-        for child in node.children:
-            visit(child)
-
-    visit(tree.root)
+        first = int(store.first_child[row])
+        if first >= 0:
+            stack.extend(reversed(range(first, first + fanout)))
     return "\n".join(lines) + "\n"

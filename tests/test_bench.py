@@ -53,6 +53,20 @@ def test_spec_validation():
                 ExperimentSpec(**{field: bad})
 
 
+def test_spec_rejects_non_integral_counts():
+    for key, bad in (("trials", 2.7), ("trials", "two"), ("trials", "2.5"),
+                     ("trials", None), ("trials", math.nan),
+                     ("jsd_points", 300.5), ("jsd_points", math.inf),
+                     ("dims", (1.9,)), ("sample_counts", (16, 32.5))):
+        with pytest.raises(ValueError, match=key):
+            ExperimentSpec(**{key: bad})
+    # whole numbers of any type, and strings spelling them, are accepted
+    spec = ExperimentSpec(trials=2.0, dims=(np.int64(2),),
+                          sample_counts=("16", 32))
+    assert (spec.trials, spec.dims, spec.sample_counts) == (2, (2,), (16, 32))
+    assert type(spec.dims[0]) is int
+
+
 def test_row_count_matches_matrix():
     rows = run_experiments(TINY, clock=_ZERO_CLOCK)
     assert len(rows) == 3
@@ -202,6 +216,18 @@ def test_cli_rejects_non_numeric_config_count(tmp_path, capsys, trials):
     cfg.write_text(json.dumps({"trials": trials}))
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("trials", 2.7), ("dims", [1.9]),
+                                        ("sample_counts", [16, "x"]),
+                                        ("jsd_points", "two")])
+def test_cli_rejects_non_integral_config_count(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+    assert os.listdir(tmp_path) == ["bad.json"]  # nothing was run
 
 
 def test_cli_rejects_zero_kde_bandwidth(tmp_path, capsys):

@@ -24,8 +24,7 @@ class _FixedAlpha:
 def _three_leaf_tree():
     # leaves: [-1, -0.5), [-0.5, 0) with radius 0.25, and [0, 1] with 0.5
     tree = TreePyramid(DomainBounds.centered(1))
-    plus, minus = tree.expand(tree.root)
-    tree.expand(minus)
+    tree.expand(tree.expand(0) + 1)  # the root, then its "-" child
     return tree
 
 
@@ -43,7 +42,8 @@ def test_uniform_component_outside_cell():
 
 def test_uniform_component_half_open_faces():
     tree = TreePyramid(DomainBounds.centered(1))
-    plus, minus = tree.expand(tree.root)
+    tree.expand(0)
+    plus, minus = tree.root.children
     x = np.array([0.0])
     assert component_density(minus, x, Kernel.UNIFORM) == 0.0
     assert component_density(plus, x, Kernel.UNIFORM) == 1.0
@@ -59,7 +59,8 @@ def test_gaussian_component_at_mean():
 
 def test_gaussian_component_scales_with_radius():
     tree = TreePyramid(DomainBounds.centered(2))
-    child = tree.expand(tree.root)[0]  # radius 0.5
+    tree.expand(0)
+    child = tree.root.children[0]  # radius 0.5
     val = component_density(child, child.center, Kernel.GAUSSIAN)
     assert abs(val - 1.0 / (2.0 * math.pi * 0.25)) < 1e-12
 
@@ -72,7 +73,7 @@ def test_single_leaf_density():
 
 def test_two_leaf_density_constant():
     tree = TreePyramid(DomainBounds.centered(1))
-    tree.expand(tree.root)
+    tree.expand(0)
     prop = TreeProposal(tree, Kernel.UNIFORM)
     xs = np.linspace(-1.0, 0.999, 31)[:, None]
     np.testing.assert_allclose(prop.density(xs), 0.5, rtol=0, atol=1e-15)
@@ -147,7 +148,7 @@ def _random_trees(rng):
     lower = np.full(2, 0.8217701239287258)
     odd = TreePyramid(DomainBounds(lower, lower + 1.4219548974429648))
     for _ in range(15):
-        leaves = odd.leaves()
+        leaves = odd.store.leaf_indices()
         odd.expand(leaves[int(rng.integers(len(leaves)))])
     return trees + [odd]
 
@@ -183,7 +184,8 @@ def test_draw_own_is_component_density(kernel):
         if kernel is Kernel.UNIFORM:
             assert np.array_equal(tree.locate(points), rows)
         # the new children of a split, passed as a slice, draw the same way
-        children = tree.expand(leaves[-1])
+        tree.expand(leaves[-1].index)
+        children = leaves[-1].children
         first = children[0].index
         points, own = prop.draw(slice(first, first + len(children)), rng)
         expected = [component_density(child, x, kernel)
@@ -218,7 +220,8 @@ def test_sample_leaf_gaussian_moments():
 
 def test_mixture_weights_values():
     tree = TreePyramid(DomainBounds.centered(1))
-    a, b = tree.expand(tree.root)
+    tree.expand(0)
+    a, b = tree.root.children
     a.weight, b.weight = 1.0, 1.0
     np.testing.assert_allclose(mixture_weights(tree), [0.5, 0.5])
     a.weight, b.weight = 3.0, 1.0
@@ -229,8 +232,10 @@ def test_mixture_weights_radius_power():
     # equal weights but radii 0.5 vs 0.25 in 2D: r**2 gives 0.25 vs 0.0625;
     # the other leaves have no weight and contribute zero
     tree = TreePyramid(DomainBounds.centered(2))
-    big = tree.expand(tree.root)[1]
-    small = tree.expand(tree.root.children[0])[3]
+    tree.expand(0)
+    big = tree.root.children[1]
+    tree.expand(tree.root.children[0].index)
+    small = tree.root.children[0].children[3]
     assert (big.radius, small.radius) == (0.5, 0.25)
     big.weight = small.weight = 1.0
     leaves = tree.leaves()
@@ -254,7 +259,8 @@ def test_mixture_weights_normalized_on_random_trees():
 
 def test_mixture_weights_unset_contribute_zero():
     tree = TreePyramid(DomainBounds.centered(1))
-    a, b = tree.expand(tree.root)
+    tree.expand(0)
+    a, b = tree.root.children
     a.weight = 2.0
     np.testing.assert_allclose(mixture_weights(tree), [1.0, 0.0])
 

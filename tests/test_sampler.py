@@ -237,7 +237,7 @@ def test_weight_helpers():
 
 def test_dm_weight_gaussian_two_leaves():
     tree = TreePyramid(DomainBounds.centered(1))
-    tree.expand(tree.root)
+    tree.expand(0)
     prop = TreeProposal(tree, Kernel.GAUSSIAN)
     x = np.array([0.1])
     comps = [math.exp(-0.5 * ((0.1 - c) / 0.5) ** 2)

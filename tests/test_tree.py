@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import grow_random_tree
 from tpais.proposal import Kernel, TreeProposal
 from tpais.tree import (DEFAULT_MAX_DEPTH, DepthLimitError, DomainBounds,
-                        TreePyramid, serialize_tree)
+                        Node, TreePyramid, serialize_tree)
 
 
 def test_centered_bounds():
@@ -51,7 +51,8 @@ def test_bounds_rejects_non_hypercube():
 
 def test_expand_1d_child_geometry():
     tree = TreePyramid(DomainBounds.centered(1))
-    children = tree.expand(tree.root)
+    tree.expand(0)
+    children = tree.root.children
     assert [c.center[0] for c in children] == [0.5, -0.5]
     assert all(c.radius == 0.5 for c in children)
     assert all(c.level == 1 for c in children)
@@ -62,7 +63,8 @@ def test_expand_child_geometry_matches_sign_product():
     # per sign combination, "+" first with dimension 0 most significant
     for dims in (1, 2, 3):
         tree = TreePyramid(DomainBounds.centered(dims))
-        children = tree.expand(tree.root)
+        tree.expand(0)
+        children = tree.root.children
         expected = [0.5 * np.asarray(s)
                     for s in itertools.product((1.0, -1.0), repeat=dims)]
         assert len(children) == 2 ** dims
@@ -73,7 +75,8 @@ def test_expand_child_geometry_matches_sign_product():
 
 def test_expand_3d_counts_and_offsets():
     tree = TreePyramid(DomainBounds.centered(3, half_width=0.5))
-    children = tree.expand(tree.root)
+    tree.expand(0)
+    children = tree.root.children
     assert len(children) == 8
     centers = sorted(tuple(c.center) for c in children)
     expected = sorted(itertools.product((-0.25, 0.25), repeat=3))
@@ -91,8 +94,7 @@ def test_leaf_count_formula():
 
 def test_seven_leaves_after_two_2d_expansions():
     tree = TreePyramid(DomainBounds.centered(2))
-    children = tree.expand(tree.root)
-    tree.expand(children[0])
+    tree.expand(tree.expand(0))  # the root, then its first child
     assert len(tree.leaves()) == 7
 
 
@@ -117,7 +119,7 @@ def test_partition_fuzz():
             x = rng.uniform(-1.0, 1.0, size=dims)
             owners = [leaf for leaf in tree.leaves() if leaf.contains(x)]
             assert len(owners) == 1
-            assert owners[0] is tree.find_leaf(x)
+            assert owners[0] == tree.find_leaf(x)
 
 
 # coordinates in [-1, 1], including exact cell faces of the dyadic lattice
@@ -157,7 +159,7 @@ def test_property_leaves_partition_and_find_leaf(dims, domain, picks, points):
     bounds = DomainBounds(np.full(dims, lower), np.full(dims, lower + width))
     tree = TreePyramid(bounds)
     for u in picks:
-        leaves = tree.leaves()
+        leaves = tree.store.leaf_indices()
         tree.expand(leaves[int(u * len(leaves))])
     leaves = tree.leaves()
     assert len(leaves) == 1 + len(picks) * (2 ** dims - 1)
@@ -170,14 +172,14 @@ def test_property_leaves_partition_and_find_leaf(dims, domain, picks, points):
     for x in probes:
         owners = [leaf for leaf in leaves if leaf.contains(x)]
         assert len(owners) == 1
-        assert tree.find_leaf(x) is owners[0]
+        assert tree.find_leaf(x) == owners[0]
         assert owners[0].contains(x)
         assert uniform.density(x) > 0.0
 
 
 def test_find_leaf_boundary_ownership():
     tree = TreePyramid(DomainBounds.centered(1))
-    tree.expand(tree.root)
+    tree.expand(0)
     # the shared face at 0 belongs to the upper cell (lower-closed convention)
     assert tree.find_leaf(np.array([0.0])).center[0] == 0.5
     # domain faces: bottom belongs to the lowest cell, top stays covered
@@ -195,7 +197,8 @@ def test_find_leaf_rejects_outside_point():
 
 def test_contains_rejects_wrong_width():
     tree = TreePyramid(DomainBounds.centered(2))
-    child = tree.expand(tree.root)[0]
+    tree.expand(0)
+    child = tree.root.children[0]
     for node in (tree.root, child):
         with pytest.raises(ValueError, match="coordinates"):
             node.contains(np.array([0.5]))
@@ -208,37 +211,55 @@ def test_contains_rejects_wrong_width():
 
 def test_expand_non_leaf_rejected():
     tree = TreePyramid(DomainBounds.centered(1))
-    tree.expand(tree.root)
+    tree.expand(0)
     with pytest.raises(ValueError):
-        tree.expand(tree.root)
+        tree.expand(0)
+
+
+def test_expand_takes_and_returns_rows():
+    tree = TreePyramid(DomainBounds.centered(2))
+    assert tree.expand(0) == 1  # the children take rows 1..4
+    assert [child.index for child in tree.root.children] == [1, 2, 3, 4]
+    assert tree.expand(np.int64(3)) == 5
+    assert tree.root.children[2].children == [Node(tree, row)
+                                              for row in range(5, 9)]
+    # a split node, and rows outside the tree: unwritten capacity rows
+    # read as leaves, so only the range check rejects them
+    for row in (0, 3, -1, len(tree)):
+        with pytest.raises(ValueError):
+            tree.expand(row)
+    with pytest.raises(TypeError):
+        tree.expand(1.0)
+    assert len(tree) == 9
 
 
 def test_depth_cap():
     tree = TreePyramid(DomainBounds.centered(1), max_depth=3)
-    node = tree.root
+    row = 0
     for _ in range(3):
-        node = tree.expand(node)[0]
-    assert node.level == 3
+        row = tree.expand(row)
+    assert Node(tree, row).level == 3
     with pytest.raises(DepthLimitError):
-        tree.expand(node)
+        tree.expand(row)
     assert TreePyramid(DomainBounds.centered(1)).max_depth == DEFAULT_MAX_DEPTH
 
 
 def test_leaves_follow_insertion_order():
     tree = TreePyramid(DomainBounds.centered(1))
-    first, second = tree.expand(tree.root)
-    tree.expand(first)
+    tree.expand(0)
+    first, second = tree.root.children
+    tree.expand(first.index)
     leaves = tree.leaves()
-    assert leaves[0] is second
+    assert leaves[0] == second
     assert [leaf.center[0] for leaf in leaves] == [-0.5, 0.75, 0.25]
 
 
 def test_node_handles_read_and_write_the_store():
     tree = TreePyramid(DomainBounds.centered(2))
     for _ in range(6):
-        tree.expand(tree.leaves()[-1])
+        tree.expand(tree.store.leaf_indices()[-1])
     leaf = tree.leaves()[0]
-    assert leaf is tree.find_leaf(leaf.center)
+    assert leaf == tree.find_leaf(leaf.center)
     assert type(leaf.radius) is float and type(leaf.level) is int
     assert leaf.weight is None and leaf.sample is None
     leaf.weight = 2.5
@@ -250,16 +271,31 @@ def test_node_handles_read_and_write_the_store():
     assert len(tree) == tree.store.size == 1 + 6 * 4
 
 
+def test_node_handles_compare_by_tree_and_row():
+    tree = TreePyramid(DomainBounds.centered(1))
+    other = TreePyramid(DomainBounds.centered(1))
+    assert tree.root is not tree.root  # handles are made on demand
+    assert tree.root == Node(tree, 0)
+    assert hash(tree.root) == hash(Node(tree, 0))
+    assert tree.root != other.root and tree.root != 0
+    assert len({tree.root, Node(tree, 0), other.root}) == 2
+    tree.expand(tree.expand(0) + 1)
+    assert tree.root not in set(tree.leaves())
+    for x in (-1.0, -0.5, -0.1, 0.0, 1.0):
+        assert tree.find_leaf(np.array([x])) in set(tree.leaves())
+
+
 def test_node_count():
     tree = TreePyramid(DomainBounds.centered(2))
-    tree.expand(tree.root)
-    tree.expand(tree.leaves()[0])
+    tree.expand(0)
+    tree.expand(tree.store.leaf_indices()[0])
     assert len(tree) == 9
 
 
 def test_serialize_golden():
     tree = TreePyramid(DomainBounds.centered(1))
-    plus, minus = tree.expand(tree.root)
+    tree.expand(0)
+    plus, minus = tree.root.children
     plus.weight = 0.5
     plus.sample = np.array([0.25])
     expected = ("0 0.0 1.0 - -\n"
