@@ -1,8 +1,8 @@
 """Tree-pyramid adaptive importance sampling toolkit."""
 
 from .baselines import MHConfig, PMCConfig, run_mh, run_pmc
-from .bench import (DEFAULT_SAMPLE_COUNTS, ExperimentSpec, ResultRow,
-                    derive_seed, emit_csv, run_experiments, run_single)
+from .bench import (ExperimentSpec, derive_seed, emit_csv, run_experiments,
+                    run_single)
 from .metrics import (KDEModel, ess_is, ess_mcmc, evidence_estimate,
                       evidence_mse, expectation_estimate, jsd, kde_density,
                       kde_fit, kl_mc, ness_is)
@@ -13,15 +13,13 @@ from .sampler import (NodeSelection, SamplerConfig, TPAISResult, Weighting,
                       run_tp_ais)
 from .targets import (GaussianMixture, TargetDensity, make_egg_target,
                       make_gmm5_target, make_normal_target)
-from .tree import (DEFAULT_MAX_DEPTH, DepthLimitError, DomainBounds, Node,
-                   TreePyramid, serialize_tree)
+from .tree import DepthLimitError, DomainBounds, TreePyramid, serialize_tree
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MAX_DEPTH", "DEFAULT_SAMPLE_COUNTS", "DepthLimitError",
-    "DomainBounds", "ExperimentSpec", "GaussianMixture", "KDEModel", "Kernel",
-    "MHConfig", "Node", "NodeSelection", "PMCConfig", "ResultRow",
+    "DepthLimitError", "DomainBounds", "ExperimentSpec", "GaussianMixture",
+    "KDEModel", "Kernel", "MHConfig", "NodeSelection", "PMCConfig",
     "SamplerConfig", "TargetDensity", "TPAISResult", "TreeProposal",
     "TreePyramid", "WeightedSampleSet", "Weighting", "derive_seed", "emit_csv",
     "emit_plots", "ess_is", "ess_mcmc", "evidence_estimate",

@@ -59,6 +59,9 @@ class ExperimentSpec:
         for key in ("dims", "sample_counts"):
             object.__setattr__(self, key, tuple(
                 _count(key, n) for n in getattr(self, key)))
+        for key in ("methods", "families", "dims", "sample_counts"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
         for key in ("trials", "jsd_points"):
             object.__setattr__(self, key, _count(key, getattr(self, key)))
         object.__setattr__(self, "kde_bandwidth", float(self.kde_bandwidth))

@@ -185,8 +185,15 @@ def evidence_mse(estimates, true_z: float = 1.0) -> float:
 
 
 def expectation_estimate(fn, samples, weights) -> float:
-    """Self-normalized importance estimate of ``E[fn(x)]``."""
+    """Self-normalized importance estimate of ``E[fn(x)]``.
+
+    ``samples`` has shape (n, K) and ``fn`` must return one value per
+    sample, shape (n,); any other shape raises ``ValueError``.
+    """
     w = normalized_weights(weights)
     vals = np.asarray(fn(np.atleast_2d(np.asarray(samples, dtype=float))),
                       dtype=float)
+    if vals.shape != w.shape:
+        raise ValueError(f"fn must return shape {w.shape}, one value per "
+                         f"weight, got shape {vals.shape}")
     return float(np.sum(vals * w))

@@ -82,7 +82,7 @@ def gaussian_kernel_sum(points, centers, scale, reduce):
 class TreeProposal:
     """Equal-weight mixture of one component per current leaf.
 
-    ``rows`` arguments name leaves by their row in ``tree.store``: a slice
+    ``rows`` arguments name leaves by their row in ``tree``: a slice
     (read as a view, as for the children of one split) or an int array.
     """
 
@@ -94,11 +94,11 @@ class TreeProposal:
         """One draw from the component of each leaf at ``rows``; returns
         the points (n, K) and each point's density under its own
         component."""
-        store = self.tree.store
+        tree = self.tree
         if isinstance(rows, slice):
-            centers, radii = store.center[rows], store.radius[rows]
+            centers, radii = tree.center[rows], tree.radius[rows]
         else:
-            centers, radii = store.center.take(rows, 0), store.radius.take(rows)
+            centers, radii = tree.center.take(rows, 0), tree.radius.take(rows)
         n, dims = centers.shape
         if self.kernel is Kernel.UNIFORM:
             u = rng.random((n, dims))
@@ -115,11 +115,11 @@ class TreeProposal:
         """Density of each of ``points`` (n, K) under the component of the
         leaf at the same place in ``rows`` (an int array of n leaf rows);
         the uniform component is zero unless the point lies in that leaf."""
-        tree, store = self.tree, self.tree.store
+        tree = self.tree
         if self.kernel is Kernel.UNIFORM:
             return (tree.locate(points) == rows) / tree.per_level(
                 lambda r: (2.0 * r) ** tree.dims, rows)
-        z = (points - store.center[rows]) / store.radius[rows][:, None]
+        z = (points - tree.center[rows]) / tree.radius[rows][:, None]
         return np.exp(-0.5 * np.sum(z * z, axis=1)) / tree.per_level(
             lambda r: (r * math.sqrt(2.0 * math.pi)) ** tree.dims, rows)
 
@@ -138,15 +138,14 @@ class TreeProposal:
             n_leaves = 1 + (len(tree) - 1) // branching * (branching - 1)
             comp = 1.0 / (n_leaves
                           * (2.0 * np.array(tree.level_radii)) ** tree.dims)
-            acc = np.where(rows >= 0, comp.take(tree.store.level.take(rows)),
+            acc = np.where(rows >= 0, comp.take(tree.level.take(rows)),
                            0.0)
         else:
-            store = tree.store
-            leaves = store.leaf_indices()
-            radii = store.radius.take(leaves)
+            leaves = tree.leaf_indices()
+            radii = tree.radius.take(leaves)
             comp = 1.0 / (len(leaves)
                           * (radii * math.sqrt(2.0 * math.pi)) ** tree.dims)
-            acc = gaussian_kernel_sum(pts, store.center.take(leaves, axis=0),
+            acc = gaussian_kernel_sum(pts, tree.center.take(leaves, axis=0),
                                       radii, lambda k: k @ comp)
         return float(acc[0]) if single else acc
 
@@ -161,9 +160,8 @@ def mixture_weights(tree: TreePyramid) -> np.ndarray:
     ``ValueError`` when every leaf does (a degenerate mixture that cannot
     be drawn from).
     """
-    store = tree.store
-    leaves = store.leaf_indices()
-    weights = store.weight.take(leaves)
+    leaves = tree.leaf_indices()
+    weights = tree.weight.take(leaves)
     vals = (np.where(np.isnan(weights), 0.0, weights)
             * tree.per_level(lambda r: r ** tree.dims, leaves))
     if np.count_nonzero((vals >= 0.0) & (vals < math.inf)) < vals.size:

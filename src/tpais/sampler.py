@@ -135,7 +135,7 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     Notes
     -----
     Without resampling every node is drawn once, when it is created, so
-    the returned set is the store's sample and weight columns in creation
+    the returned set is the tree's sample and weight columns in creation
     order. Max-evidence selection then pops the leaf to split from a heap
     keyed by ``(-target_value * radius**K, row)``: the earliest-created
     leaf wins ties, as ``argmax`` over the insertion-ordered leaves does,
@@ -145,7 +145,6 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     """
     rng = np.random.default_rng(config.seed)
     tree = TreePyramid(config.bounds, max_depth=config.max_depth)
-    store = tree.store
     proposal = TreeProposal(tree, config.kernel)
     dims = config.dims
     greedy = config.node_selection is NodeSelection.MAX_EVIDENCE
@@ -157,15 +156,15 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         values = _eval_target(target, points)
         if config.weighting is Weighting.DETERMINISTIC_MIXTURE:
             q = proposal.density(points)
-        store.weight[rows] = _weights(values, q)
-        store.sample[rows] = points
-        store.target_value[rows] = values
+        tree.weight[rows] = _weights(values, q)
+        tree.sample[rows] = points
+        tree.target_value[rows] = values
         return values
 
     def sample_new(first, count):
         values = sample_nodes(slice(first, first + count))
         if use_heap:
-            radius_pow = float(store.radius[first]) ** dims
+            radius_pow = float(tree.radius[first]) ** dims
             for row, f in enumerate(values.tolist(), start=first):
                 heapq.heappush(frontier, (-(f * radius_pow), row))
 
@@ -176,21 +175,21 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         if use_heap:
             chosen = heapq.heappop(frontier)[1]
         else:
-            leaves = store.leaf_indices()
+            leaves = tree.leaf_indices()
             if config.resample_leaves:
                 sample_nodes(leaves)
             if greedy:
-                scores = store.target_value[leaves] * tree.per_level(
+                scores = tree.target_value[leaves] * tree.per_level(
                     lambda r: r ** dims, leaves)
                 chosen = leaves[int(np.argmax(scores))]
             else:
                 chosen = leaves[sample_mixture(mixture_weights(tree), rng)]
         sample_new(tree.expand(chosen), 2 ** dims)
 
-    rows = (store.leaf_indices() if config.resample_leaves
+    rows = (tree.leaf_indices() if config.resample_leaves
             else np.arange(len(tree)))
-    sample_set = WeightedSampleSet(store.sample.take(rows, axis=0),
-                                   store.weight.take(rows))
+    sample_set = WeightedSampleSet(tree.sample.take(rows, axis=0),
+                                   tree.weight.take(rows))
     return TPAISResult(sample_set, tree, config)
 
 
@@ -202,15 +201,14 @@ def leaf_sample_set(tree: TreePyramid, kernel: Kernel,
     component density; deterministic-mixture weights divide by the full
     leaf-mixture density of the finished tree.
     """
-    store = tree.store
-    leaves = store.leaf_indices()
-    samples = store.sample[leaves]
+    leaves = tree.leaf_indices()
+    samples = tree.sample[leaves]
     if np.isnan(samples).any():
         raise ValueError("every leaf must hold a sample")
     proposal = TreeProposal(tree, kernel)
     q = (proposal.own_density(leaves, samples)
          if weighting is Weighting.STANDARD else proposal.density(samples))
-    return WeightedSampleSet(samples, _weights(store.target_value[leaves], q))
+    return WeightedSampleSet(samples, _weights(tree.target_value[leaves], q))
 
 
 def evidence_from_tree(target, tree: TreePyramid, kernel: Kernel,
@@ -225,6 +223,6 @@ def evidence_from_tree(target, tree: TreePyramid, kernel: Kernel,
     mass.
     """
     proposal = TreeProposal(tree, kernel)
-    points, _ = proposal.draw(tree.store.leaf_indices(), rng)
+    points, _ = proposal.draw(tree.leaf_indices(), rng)
     values = _eval_target(target, points)
     return float(np.mean(_weights(values, proposal.density(points))))

@@ -63,10 +63,10 @@ class GaussianMixture:
 
     def density(self, x):
         """Mixture pdf at one point (K,) or a batch (n, K), taken in blocks
-        of rows with a bounded number of point-component pairs."""
+        of rows whose (rows, m, K) differences hold at most 2**22 floats."""
         pts, single = _as_batch(x, self.dims)
         out = np.empty(pts.shape[0])
-        for rows in _row_blocks(pts.shape[0], self.n_components):
+        for rows in _row_blocks(pts.shape[0], self.n_components * self.dims):
             # (rows, m, K) standardized squared distances to each component
             z2 = pts[rows, None, :] - self.means
             np.square(z2, out=z2)

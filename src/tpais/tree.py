@@ -97,72 +97,29 @@ _COLUMNS = (
     ("radius", False, float, 0.0),
     ("level", False, np.int64, 0),
     ("first_child", False, np.int64, -1),
-    ("is_leaf", False, bool, True),
     ("sample", True, float, np.nan),
     ("target_value", False, float, np.nan),
     ("weight", False, float, np.nan),
 )
 
 
-class NodeStore:
-    """Struct-of-arrays rows of every node of a tree, in creation order.
-
-    Row ``i`` holds node ``i``: its cell (``center`` (K,), ``radius`` and
-    ``level``), its place in the tree (``first_child``, the row of its
-    first child or -1, and ``is_leaf``) and its last draw
-    (``sample`` (K,), ``target_value`` and ``weight``, NaN while unset).
-    The children of a node occupy ``2**K`` consecutive rows. Capacity
-    doubles as rows are appended; only the first ``size`` rows are nodes.
-    """
-
-    def __init__(self, dims: int):
-        self.size = 0
-        for name, per_dim, dtype, fill in _COLUMNS:
-            setattr(self, name,
-                    np.full((0, dims) if per_dim else (0,), fill, dtype))
-
-    def append(self, centers, radius: float, level: int) -> int:
-        """Add one leaf row per center and return the first new row."""
-        first = self.size
-        self.size += centers.shape[0]
-        if self.size > self.radius.shape[0]:
-            capacity = max(self.size, 2 * self.radius.shape[0])
-            for name, _, dtype, fill in _COLUMNS:
-                old = getattr(self, name)
-                new = np.full((capacity,) + old.shape[1:], fill, dtype)
-                new[:first] = old[:first]
-                setattr(self, name, new)
-        rows = slice(first, self.size)
-        self.center[rows] = centers
-        self.radius[rows] = radius
-        self.level[rows] = level
-        return first
-
-    def leaf_indices(self) -> np.ndarray:
-        """Rows of the current leaves, in creation order."""
-        return np.flatnonzero(self.is_leaf[:self.size])
-
-
 def _optional_float(column: str, doc: str):
-    """Property reading and writing one scalar column; NaN reads as None."""
+    """Property reading one scalar column; NaN reads as None."""
 
     def get(self):
-        value = float(getattr(self.tree.store, column)[self.index])
+        value = float(getattr(self.tree, column)[self.index])
         return None if math.isnan(value) else value
 
-    def put(self, value):
-        getattr(self.tree.store, column)[self.index] = (
-            math.nan if value is None else value)
-
-    return property(get, put, doc=doc)
+    return property(get, doc=doc)
 
 
 class Node:
-    """Handle on one cell of a tree pyramid: row ``index`` of ``tree.store``.
+    """Read-only handle on one cell of a tree pyramid: row ``index`` of
+    ``tree``.
 
     Handles are made on demand and compare equal, and hash, by the tree
-    they belong to and their row. Every attribute reads or writes the store
-    row, and the tree's arrays stay the only copy of its geometry and draws.
+    they belong to and their row. Every attribute reads the tree's row, so
+    the tree's columns stay the only copy of its geometry and draws.
 
     Attributes
     ----------
@@ -176,7 +133,7 @@ class Node:
         Empty for leaves, exactly ``2**K`` entries otherwise.
     sample, weight, target_value
         Last sample drawn inside the cell, its importance weight and raw
-        target density. ``None`` until set; they can be assigned.
+        target density. ``None`` until the sampler writes them.
     """
 
     __slots__ = ("tree", "index")
@@ -194,31 +151,26 @@ class Node:
 
     @property
     def center(self) -> np.ndarray:
-        return self.tree.store.center[self.index].copy()
+        return self.tree.center[self.index].copy()
 
     @property
     def radius(self) -> float:
-        return float(self.tree.store.radius[self.index])
+        return float(self.tree.radius[self.index])
 
     @property
     def level(self) -> int:
-        return int(self.tree.store.level[self.index])
+        return int(self.tree.level[self.index])
 
     @property
     def children(self) -> list["Node"]:
-        first = int(self.tree.store.first_child[self.index])
+        first = int(self.tree.first_child[self.index])
         rows = range(first, first + 2 ** self.dims) if first >= 0 else ()
         return [Node(self.tree, row) for row in rows]
 
     @property
     def sample(self):
-        row = self.tree.store.sample[self.index]
+        row = self.tree.sample[self.index]
         return None if math.isnan(row[0]) else row.copy()
-
-    @sample.setter
-    def sample(self, value):
-        self.tree.store.sample[self.index] = (
-            math.nan if value is None else value)
 
     weight = _optional_float("weight", "Importance weight of the last draw.")
     target_value = _optional_float("target_value",
@@ -226,7 +178,7 @@ class Node:
 
     @property
     def is_leaf(self) -> bool:
-        return bool(self.tree.store.is_leaf[self.index])
+        return bool(self.tree.first_child[self.index] < 0)
 
     @property
     def dims(self) -> int:
@@ -252,11 +204,21 @@ class Node:
 class TreePyramid:
     """Full 2**K-ary tree of hypercube cells over a bounded domain.
 
+    The tree is one table of node rows in creation order, held as column
+    attributes; row ``i`` is node ``i`` and the root is row 0:
+
+    - its cell: ``center`` (K,), ``radius`` and ``level``;
+    - its place in the tree: ``first_child``, the row of its first child
+      or -1, so a row is a leaf exactly when ``first_child < 0``;
+    - its last draw: ``sample`` (K,), ``target_value`` and ``weight``,
+      NaN while unset, written by the sampler.
+
     The root cell is the whole domain (center ``(upper + lower) / 2``,
-    radius ``(upper - lower) / 2``). Nodes live in ``store`` in creation
-    order and are named by their row; the root is row 0. The leaves in
-    creation order are also their insertion order: expanding a leaf removes
-    it and appends its children.
+    radius ``(upper - lower) / 2``). The children of a node take ``2**K``
+    consecutive rows. Capacity doubles as rows are appended; only the
+    first ``len(tree)`` rows are nodes. The leaves in creation order are
+    also their insertion order: expanding a leaf removes it and appends
+    its children.
     """
 
     def __init__(self, bounds: DomainBounds, max_depth: int = DEFAULT_MAX_DEPTH):
@@ -273,20 +235,44 @@ class TreePyramid:
         self._bits = 1 << np.arange(self.dims - 1, -1, -1)
         self.level_radii = [bounds.radius]  # radius of each level reached
         self._child_offsets = []  # half * signs for the children of a level
-        self.store = NodeStore(self.dims)
-        self.store.append(bounds.center[None, :], bounds.radius, 0)
+        self._size = 0
+        for name, per_dim, dtype, fill in _COLUMNS:
+            setattr(self, name,
+                    np.full((0, self.dims) if per_dim else (0,), fill, dtype))
+        self._append(bounds.center[None, :], bounds.radius, 0)
+
+    def _append(self, centers, radius: float, level: int) -> int:
+        """Add one leaf row per center and return the first new row."""
+        first = self._size
+        self._size += centers.shape[0]
+        if self._size > self.radius.shape[0]:
+            capacity = max(self._size, 2 * self.radius.shape[0])
+            for name, _, dtype, fill in _COLUMNS:
+                old = getattr(self, name)
+                new = np.full((capacity,) + old.shape[1:], fill, dtype)
+                new[:first] = old[:first]
+                setattr(self, name, new)
+        rows = slice(first, self._size)
+        self.center[rows] = centers
+        self.radius[rows] = radius
+        self.level[rows] = level
+        return first
 
     @property
     def root(self) -> Node:
         return Node(self, 0)
 
+    def leaf_indices(self) -> np.ndarray:
+        """Rows of the current leaves, in creation order."""
+        return np.flatnonzero(self.first_child[:self._size] < 0)
+
     def leaves(self) -> list[Node]:
         """Handles on the current leaves, in insertion order."""
-        return [Node(self, row) for row in self.store.leaf_indices().tolist()]
+        return [Node(self, row) for row in self.leaf_indices().tolist()]
 
     def __len__(self) -> int:
         """Total number of nodes."""
-        return self.store.size
+        return self._size
 
     def per_level(self, fn, index) -> np.ndarray:
         """``fn(radius)`` for the nodes at rows ``index``.
@@ -297,42 +283,40 @@ class TreePyramid:
         differently from Python's).
         """
         table = np.array([fn(radius) for radius in self.level_radii])
-        return table.take(self.store.level.take(index))
+        return table.take(self.level.take(index))
 
     def expand(self, row) -> int:
-        """Split the leaf at store row ``row`` into its 2**K children and
-        return the row of the first; the children take consecutive rows.
+        """Split the leaf at row ``row`` into its 2**K children and return
+        the row of the first; the children take consecutive rows.
 
         Raises ``ValueError`` for a row that is not a leaf of this tree and
         ``DepthLimitError`` when the child level would exceed ``max_depth``.
         """
-        store, i = self.store, operator.index(row)
-        if not (0 <= i < store.size and store.is_leaf[i]):
+        i = operator.index(row)
+        if not (0 <= i < self._size and self.first_child[i] < 0):
             raise ValueError(f"row {i} is not a leaf of this tree")
-        level = int(store.level[i])
+        level = int(self.level[i])
         if level >= self.max_depth:
             raise DepthLimitError(
                 f"expansion past depth cap {self.max_depth}; the tree cannot "
                 "refine further")
-        half = float(store.radius[i]) / 2.0
+        half = float(self.radius[i]) / 2.0
         if level + 1 == len(self.level_radii):
             self.level_radii.append(half)
             self._child_offsets.append(half * self._signs)
-        first = store.append(store.center[i] + self._child_offsets[level],
+        first = self._append(self.center[i] + self._child_offsets[level],
                              half, level + 1)
-        store.first_child[i] = first
-        store.is_leaf[i] = False
+        self.first_child[i] = first
         return first
 
     def _descend(self, points, steps: int) -> np.ndarray:
         """Row reached by each point of ``points`` (n, K) after ``steps``
         steps of the descent, stopping early at a leaf; -1 for points
         outside the closed domain box."""
-        store = self.store
         rows = np.zeros(points.shape[0], dtype=np.int64)
         for _ in range(steps):
-            child = store.first_child.take(rows)
-            below = points < store.center.take(rows, axis=0)
+            child = self.first_child.take(rows)
+            below = points < self.center.take(rows, axis=0)
             rows = np.where(child >= 0, child + below.dot(self._bits), rows)
         inside = ((points >= self.bounds.lower)
                   & (points <= self.bounds.upper)).all(axis=1)
@@ -367,18 +351,18 @@ def serialize_tree(tree: TreePyramid) -> str:
     fields are level, center coordinates, radius, weight and sample
     coordinates, space-separated, with ``-`` for unset values.
     """
-    store, fanout = tree.store, 2 ** tree.dims
+    fanout = 2 ** tree.dims
     lines, stack = [], [0]
     while stack:
         row = stack.pop()
-        weight, sample = float(store.weight[row]), store.sample[row].tolist()
-        fields = [str(store.level[row]),
-                  *map(repr, store.center[row].tolist()),
-                  repr(float(store.radius[row])),
+        weight, sample = float(tree.weight[row]), tree.sample[row].tolist()
+        fields = [str(tree.level[row]),
+                  *map(repr, tree.center[row].tolist()),
+                  repr(float(tree.radius[row])),
                   "-" if math.isnan(weight) else repr(weight),
                   *(["-"] if math.isnan(sample[0]) else map(repr, sample))]
         lines.append(" ".join(fields))
-        first = int(store.first_child[row])
+        first = int(tree.first_child[row])
         if first >= 0:
             stack.extend(reversed(range(first, first + fanout)))
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ def grow_random_tree(dims, n_expansions, rng, max_depth=64):
     """Tree over [-1, 1]**dims grown by uniformly random leaf expansions."""
     tree = TreePyramid(DomainBounds.centered(dims), max_depth=max_depth)
     for _ in range(n_expansions):
-        leaves = tree.store.leaf_indices()
+        leaves = tree.leaf_indices()
         tree.expand(leaves[int(rng.integers(len(leaves)))])
     return tree
 

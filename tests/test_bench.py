@@ -67,6 +67,12 @@ def test_spec_rejects_non_integral_counts():
     assert type(spec.dims[0]) is int
 
 
+def test_spec_rejects_empty_lists():
+    for key in ("methods", "families", "dims", "sample_counts"):
+        with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            ExperimentSpec(**{key: ()})
+
+
 def test_row_count_matches_matrix():
     rows = run_experiments(TINY, clock=_ZERO_CLOCK)
     assert len(rows) == 3
@@ -228,6 +234,24 @@ def test_cli_rejects_non_integral_config_count(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "error:" in err and key in err
     assert os.listdir(tmp_path) == ["bad.json"]  # nothing was run
+
+
+@pytest.mark.parametrize("flag, key", [("--methods", "methods"),
+                                       ("--families", "families"),
+                                       ("--dims", "dims"),
+                                       ("--n-grid", "sample_counts")])
+def test_cli_rejects_empty_list_flag(tmp_path, capsys, flag, key):
+    assert main([flag, "", "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{key} must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # nothing was run
+
+
+def test_cli_rejects_empty_config_list(tmp_path, capsys):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"families": []}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "families must not be empty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["empty.json"]
 
 
 def test_cli_rejects_zero_kde_bandwidth(tmp_path, capsys):

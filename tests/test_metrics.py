@@ -261,3 +261,18 @@ def test_expectation_estimate():
     with pytest.raises(ValueError):
         expectation_estimate(lambda x: x[:, 0], samples, np.zeros(3))
 
+
+
+def test_expectation_estimate_rejects_values_of_another_shape():
+    # samples of shape (n,) read as one point with n coordinates, so fn
+    # gives one value, which would broadcast against the n weights
+    weights = np.ones(3)
+    with pytest.raises(ValueError, match=r"shape \(3,\).*got shape \(1,\)"):
+        expectation_estimate(lambda x: x[:, 0], np.array([0.1, 0.5, 0.9]),
+                             weights)
+    with pytest.raises(ValueError, match=r"got shape \(3, 1\)"):
+        expectation_estimate(lambda x: x, np.array([[0.1], [0.5], [0.9]]),
+                             weights)
+    column = np.array([[0.1], [0.5], [0.9]])
+    assert expectation_estimate(lambda x: x[:, 0], column,
+                                weights) == pytest.approx(0.5, rel=1e-15)

@@ -148,7 +148,7 @@ def _random_trees(rng):
     lower = np.full(2, 0.8217701239287258)
     odd = TreePyramid(DomainBounds(lower, lower + 1.4219548974429648))
     for _ in range(15):
-        leaves = odd.store.leaf_indices()
+        leaves = odd.leaf_indices()
         odd.expand(leaves[int(rng.integers(len(leaves)))])
     return trees + [odd]
 
@@ -222,9 +222,9 @@ def test_mixture_weights_values():
     tree = TreePyramid(DomainBounds.centered(1))
     tree.expand(0)
     a, b = tree.root.children
-    a.weight, b.weight = 1.0, 1.0
+    tree.weight[[a.index, b.index]] = 1.0, 1.0
     np.testing.assert_allclose(mixture_weights(tree), [0.5, 0.5])
-    a.weight, b.weight = 3.0, 1.0
+    tree.weight[[a.index, b.index]] = 3.0, 1.0
     np.testing.assert_allclose(mixture_weights(tree), [0.75, 0.25])
 
 
@@ -237,7 +237,7 @@ def test_mixture_weights_radius_power():
     tree.expand(tree.root.children[0].index)
     small = tree.root.children[0].children[3]
     assert (big.radius, small.radius) == (0.5, 0.25)
-    big.weight = small.weight = 1.0
+    tree.weight[[big.index, small.index]] = 1.0
     leaves = tree.leaves()
     pair = [leaves.index(big), leaves.index(small)]
     weights = mixture_weights(tree)
@@ -251,7 +251,7 @@ def test_mixture_weights_normalized_on_random_trees():
         tree = grow_random_tree(int(rng.integers(1, 4)),
                                 int(rng.integers(1, 8)), rng)
         for leaf in tree.leaves():
-            leaf.weight = float(rng.uniform(0.0, 5.0))
+            tree.weight[leaf.index] = float(rng.uniform(0.0, 5.0))
         weights = mixture_weights(tree)
         assert abs(weights.sum() - 1.0) < 1e-12
         assert np.all(weights >= 0.0)
@@ -261,7 +261,7 @@ def test_mixture_weights_unset_contribute_zero():
     tree = TreePyramid(DomainBounds.centered(1))
     tree.expand(0)
     a, b = tree.root.children
-    a.weight = 2.0
+    tree.weight[a.index] = 2.0
     np.testing.assert_allclose(mixture_weights(tree), [1.0, 0.0])
 
 
@@ -269,7 +269,7 @@ def test_mixture_weights_degenerate():
     tree = TreePyramid(DomainBounds.centered(1))
     with pytest.raises(ValueError, match="degenerate"):
         mixture_weights(tree)
-    tree.root.weight = 0.0
+    tree.weight[0] = 0.0
     with pytest.raises(ValueError, match="degenerate"):
         mixture_weights(tree)
 

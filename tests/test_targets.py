@@ -1,6 +1,7 @@
 """Target family tests: mixture math, generator distributions, egg grid."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,14 +40,30 @@ def test_density_batch_matches_single():
 
 
 def test_density_blocks_match_one_block(monkeypatch):
-    # 3D egg: 64 components, so a cap of 3500 pairs gives blocks of 54 rows
-    # (1000 % 54 != 0); each block's comp @ weights may round differently
+    # 3D egg: 64 components of 3 coordinates, so a cap of 3500 floats gives
+    # blocks of 18 rows (1000 % 18 != 0); each block's comp @ weights may
+    # round differently
     model = make_egg_target(3).model
     pts = np.random.default_rng(2).uniform(-1, 1, size=(1000, 3))
     one_block = model.density(pts)
     monkeypatch.setattr(proposal, "_BLOCK_PAIRS", 3500)
     np.testing.assert_allclose(model.density(pts), one_block, rtol=1e-12)
     assert model.density(pts[7]) == pytest.approx(one_block[7], rel=1e-12)
+
+
+def test_density_block_memory_is_bounded():
+    # 7D egg: 16384 components of 7 coordinates. A block of (rows, m, K)
+    # differences holds at most 2**22 floats (32 MiB), whatever the number
+    # of points, so the peak stays near that.
+    model = make_egg_target(7).model
+    pts = np.random.default_rng(4).uniform(-1, 1, size=(768, 7))
+    tracemalloc.start()
+    try:
+        model.density(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_density_rejects_wrong_width():

@@ -159,7 +159,7 @@ def test_property_leaves_partition_and_find_leaf(dims, domain, picks, points):
     bounds = DomainBounds(np.full(dims, lower), np.full(dims, lower + width))
     tree = TreePyramid(bounds)
     for u in picks:
-        leaves = tree.store.leaf_indices()
+        leaves = tree.leaf_indices()
         tree.expand(leaves[int(u * len(leaves))])
     leaves = tree.leaves()
     assert len(leaves) == 1 + len(picks) * (2 ** dims - 1)
@@ -254,21 +254,41 @@ def test_leaves_follow_insertion_order():
     assert [leaf.center[0] for leaf in leaves] == [-0.5, 0.75, 0.25]
 
 
-def test_node_handles_read_and_write_the_store():
+def test_node_handles_read_the_tree_rows():
     tree = TreePyramid(DomainBounds.centered(2))
     for _ in range(6):
-        tree.expand(tree.store.leaf_indices()[-1])
+        tree.expand(tree.leaf_indices()[-1])
     leaf = tree.leaves()[0]
     assert leaf == tree.find_leaf(leaf.center)
     assert type(leaf.radius) is float and type(leaf.level) is int
     assert leaf.weight is None and leaf.sample is None
-    leaf.weight = 2.5
-    leaf.sample = np.array([0.1, 0.2])
-    assert tree.store.weight[leaf.index] == 2.5
-    np.testing.assert_array_equal(tree.store.sample[leaf.index], [0.1, 0.2])
-    leaf.weight = None
+    tree.weight[leaf.index] = 2.5
+    tree.sample[leaf.index] = [0.1, 0.2]
+    assert leaf.weight == 2.5
+    np.testing.assert_array_equal(leaf.sample, [0.1, 0.2])
+    tree.weight[leaf.index] = np.nan
     assert leaf.weight is None
-    assert len(tree) == tree.store.size == 1 + 6 * 4
+    assert len(tree) == 1 + 6 * 4
+
+
+def test_node_handles_are_read_only():
+    tree = TreePyramid(DomainBounds.centered(1))
+    leaf = tree.root
+    for name, value in (("weight", 1.0), ("sample", np.array([0.5])),
+                        ("target_value", 1.0), ("radius", 0.5)):
+        with pytest.raises(AttributeError):
+            setattr(leaf, name, value)
+    assert leaf.weight is None and leaf.sample is None
+    assert leaf.target_value is None and leaf.radius == 1.0
+
+
+def test_leaf_flag_is_first_child_below_zero():
+    tree = TreePyramid(DomainBounds.centered(2))
+    tree.expand(tree.expand(0) + 2)
+    np.testing.assert_array_equal(tree.first_child[[0, 3]], [1, 5])
+    np.testing.assert_array_equal(tree.leaf_indices(), [1, 2, 4, 5, 6, 7, 8])
+    assert [child.is_leaf for child in tree.root.children] == [
+        True, True, False, True]
 
 
 def test_node_handles_compare_by_tree_and_row():
@@ -288,7 +308,7 @@ def test_node_handles_compare_by_tree_and_row():
 def test_node_count():
     tree = TreePyramid(DomainBounds.centered(2))
     tree.expand(0)
-    tree.expand(tree.store.leaf_indices()[0])
+    tree.expand(tree.leaf_indices()[0])
     assert len(tree) == 9
 
 
@@ -296,8 +316,8 @@ def test_serialize_golden():
     tree = TreePyramid(DomainBounds.centered(1))
     tree.expand(0)
     plus, minus = tree.root.children
-    plus.weight = 0.5
-    plus.sample = np.array([0.25])
+    tree.weight[plus.index] = 0.5
+    tree.sample[plus.index] = [0.25]
     expected = ("0 0.0 1.0 - -\n"
                 "1 0.5 0.5 0.5 0.25\n"
                 "1 -0.5 0.5 - -\n")
