@@ -12,7 +12,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -29,20 +29,34 @@ CSV_COLUMNS = ("method", "family", "dims", "N", "trial", "seed", "ness",
                "jsd", "evidence_mse", "wall_time_seconds")
 
 
-def _count(key: str, value) -> int:
+def _count(key: str, value, least=1) -> int:
     """``value`` as an int; a ``ValueError`` naming ``key`` unless it is a
-    whole number >= 1 or a string spelling one (config files may hold "2")."""
+    whole number >= ``least`` (if not None) or a string spelling one."""
     try:
-        if int(value) == float(value) >= 1:
-            return int(value)
+        number = int(value)
+        if ((isinstance(value, str) or number == value)
+                and (least is None or number >= least)):
+            return number
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"{key} must be a whole number >= 1, got {value!r}")
+    bound = "" if least is None else f" >= {least}"
+    raise ValueError(f"{key} must be a whole number{bound}, got {value!r}")
+
+
+def _items(key: str, value) -> tuple:
+    """A list or tuple, or a comma-separated string as on the command line,
+    as a tuple; a ``ValueError`` naming ``key`` for anything else."""
+    if isinstance(value, str):
+        value = [item.strip() for item in value.split(",") if item.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list or a comma-separated "
+                         f"string, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of a benchmark matrix."""
+    """Full description of a benchmark matrix; the one parser of settings."""
 
     methods: tuple = ("tpais", "mh", "pmc-dm")
     families: tuple = ("normal", "gmm5", "egg")
@@ -54,27 +68,29 @@ class ExperimentSpec:
     kde_bandwidth: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "families", tuple(self.families))
-        for key in ("dims", "sample_counts"):
-            object.__setattr__(self, key, tuple(
-                _count(key, n) for n in getattr(self, key)))
         for key in ("methods", "families", "dims", "sample_counts"):
-            if not getattr(self, key):
+            items = _items(key, getattr(self, key))
+            if not items:
                 raise ValueError(f"{key} must not be empty")
-        for key in ("trials", "jsd_points"):
-            object.__setattr__(self, key, _count(key, getattr(self, key)))
-        object.__setattr__(self, "kde_bandwidth", float(self.kde_bandwidth))
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods: {unknown}; "
-                             f"available: {sorted(METHODS)}")
-        unknown = [f for f in self.families if f not in FAMILIES]
-        if unknown:
-            raise ValueError(f"unknown families: {unknown}; "
-                             f"available: {sorted(FAMILIES)}")
-        if not 0.0 < self.kde_bandwidth < math.inf:
-            raise ValueError("kde_bandwidth must be positive and finite")
+            if key in ("dims", "sample_counts"):
+                items = tuple(_count(key, n) for n in items)
+            object.__setattr__(self, key, items)
+        for key, low in ("trials", 1), ("jsd_points", 1), ("base_seed", None):
+            object.__setattr__(self, key, _count(key, getattr(self, key), low))
+        for key, table in (("methods", METHODS), ("families", FAMILIES)):
+            available = sorted(table)
+            unknown = [n for n in getattr(self, key) if n not in available]
+            if unknown:
+                raise ValueError(f"unknown {key}: {unknown}; "
+                                 f"available: {available}")
+        try:
+            bandwidth = float(self.kde_bandwidth)
+        except (TypeError, ValueError):
+            bandwidth = math.nan
+        if not 0.0 < bandwidth < math.inf:
+            raise ValueError("kde_bandwidth must be positive and finite, "
+                             f"got {self.kde_bandwidth!r}")
+        object.__setattr__(self, "kde_bandwidth", bandwidth)
 
 
 @dataclass
@@ -101,17 +117,12 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _make_family_target(family: str, dims: int, rng: np.random.Generator):
-    if family == "normal":
-        return make_normal_target(rng, dims)
-    if family == "gmm5":
-        return make_gmm5_target(rng, dims)
-    if family == "egg":
-        return make_egg_target(dims)
-    raise ValueError(f"unknown family {family!r}")
-
-
-FAMILIES = ("normal", "gmm5", "egg")
+# family name -> target(rng, dims); the rng draws the target's parameters
+FAMILIES = {
+    "normal": make_normal_target,
+    "gmm5": make_gmm5_target,
+    "egg": lambda rng, dims: make_egg_target(dims),
+}
 
 
 # --- method adapters --------------------------------------------------------
@@ -203,7 +214,7 @@ def run_single(spec: ExperimentSpec, method: str, family: str, dims: int,
     try:
         target_rng = np.random.default_rng(
             derive_seed(spec.base_seed, "target", family, dims, trial))
-        target = _make_family_target(family, dims, target_rng)
+        target = FAMILIES[family](target_rng, dims)
         sample, report = METHODS[method]
         start = clock()
         state = sample(target, dims, n, run_seed, spec)
@@ -254,18 +265,13 @@ def run_experiments(spec: ExperimentSpec, clock=time.perf_counter,
     return rows
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def emit_csv(rows, path) -> None:
-    """Write rows as CSV with a fixed column order and repr-exact floats."""
+    """Write rows as CSV: the first ``len(CSV_COLUMNS)`` fields of each
+    ``ResultRow`` in order, floats repr-exact."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join([
-            row.method, row.family, str(row.dims), str(row.n), str(row.trial),
-            str(row.seed), _fmt(row.ness), _fmt(row.jsd),
-            _fmt(row.evidence_mse), _fmt(row.wall_time_seconds),
-        ]))
+        lines.append(",".join(
+            repr(float(v)) if isinstance(v, float) else str(v)
+            for v in astuple(row)[:len(CSV_COLUMNS)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

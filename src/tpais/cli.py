@@ -8,21 +8,14 @@ outputs. Exits nonzero when any individual run failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from .bench import (DEFAULT_SAMPLE_COUNTS, METHODS, ExperimentSpec, FAMILIES,
-                    emit_csv, run_experiments)
+from .bench import (METHODS, ExperimentSpec, FAMILIES, emit_csv,
+                    run_experiments)
 from .plots import emit_plots
-
-
-def _csv_list(text: str) -> list:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
-def _int_list(text: str) -> list:
-    return [int(item) for item in _csv_list(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,22 +25,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "against MH and PMC baselines.")
     parser.add_argument("--config", help="JSON file with experiment settings "
                         "(same keys as the flags below)")
-    parser.add_argument("--methods", type=_csv_list,
+    parser.add_argument("--methods",
                         help=f"comma-separated method ids; available: "
                              f"{', '.join(sorted(METHODS))}")
-    parser.add_argument("--families", type=_csv_list,
+    parser.add_argument("--families",
                         help=f"comma-separated target families: "
                              f"{', '.join(FAMILIES)}")
-    parser.add_argument("--dims", type=_int_list,
+    parser.add_argument("--dims",
                         help="comma-separated dimensionalities, e.g. 1,2,3")
-    parser.add_argument("--n-grid", type=_int_list, dest="sample_counts",
+    parser.add_argument("--n-grid", dest="sample_counts",
                         help="comma-separated sample counts, e.g. 16,64,256")
-    parser.add_argument("--trials", type=int, help="trials per cell")
-    parser.add_argument("--seed", type=int, dest="base_seed",
+    parser.add_argument("--trials", help="trials per cell")
+    parser.add_argument("--seed", dest="base_seed",
                         help="base seed for the whole matrix")
-    parser.add_argument("--jsd-points", type=int, dest="jsd_points",
+    parser.add_argument("--jsd-points", dest="jsd_points",
                         help="Monte Carlo points per JSD estimate")
-    parser.add_argument("--kde-bandwidth", type=float, dest="kde_bandwidth",
+    parser.add_argument("--kde-bandwidth", dest="kde_bandwidth",
                         help="KDE bandwidth for MCMC density estimates")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (default 1)")
@@ -58,23 +51,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-SPEC_KEYS = ("methods", "families", "dims", "sample_counts", "trials",
-             "base_seed", "jsd_points", "kde_bandwidth")
+# flags and config keys carry raw values; ExperimentSpec converts them
+SPEC_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentSpec))
 
 
 def spec_from_args(args) -> ExperimentSpec:
     settings = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        unknown = set(loaded) - set(SPEC_KEYS)
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+        unknown = set(settings) - set(SPEC_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(loaded)
-    for key in SPEC_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in SPEC_KEYS and value is not None)
     return ExperimentSpec(**settings)
 
 

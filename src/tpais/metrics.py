@@ -181,6 +181,8 @@ def evidence_estimate(weights) -> float:
 def evidence_mse(estimates, true_z: float = 1.0) -> float:
     """Mean squared error of evidence estimates against the true value."""
     z = np.atleast_1d(np.asarray(estimates, dtype=float))
+    if z.size == 0:
+        raise ValueError("estimates must be non-empty")
     return float(np.mean((z - true_z) ** 2))
 
 

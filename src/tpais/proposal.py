@@ -95,10 +95,9 @@ class TreeProposal:
         the points (n, K) and each point's density under its own
         component."""
         tree = self.tree
-        if isinstance(rows, slice):
-            centers, radii = tree.center[rows], tree.radius[rows]
-        else:
-            centers, radii = tree.center.take(rows, 0), tree.radius.take(rows)
+        centers = (tree.center[rows] if isinstance(rows, slice)
+                   else tree.center.take(rows, 0))
+        radii = tree.per_level(float, rows)
         n, dims = centers.shape
         if self.kernel is Kernel.UNIFORM:
             u = rng.random((n, dims))
@@ -119,7 +118,7 @@ class TreeProposal:
         if self.kernel is Kernel.UNIFORM:
             return (tree.locate(points) == rows) / tree.per_level(
                 lambda r: (2.0 * r) ** tree.dims, rows)
-        z = (points - tree.center[rows]) / tree.radius[rows][:, None]
+        z = (points - tree.center[rows]) / tree.per_level(float, rows)[:, None]
         return np.exp(-0.5 * np.sum(z * z, axis=1)) / tree.per_level(
             lambda r: (r * math.sqrt(2.0 * math.pi)) ** tree.dims, rows)
 
@@ -142,7 +141,7 @@ class TreeProposal:
                            0.0)
         else:
             leaves = tree.leaf_indices()
-            radii = tree.radius.take(leaves)
+            radii = tree.per_level(float, leaves)
             comp = 1.0 / (len(leaves)
                           * (radii * math.sqrt(2.0 * math.pi)) ** tree.dims)
             acc = gaussian_kernel_sum(pts, tree.center.take(leaves, axis=0),

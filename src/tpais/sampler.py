@@ -164,7 +164,7 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     def sample_new(first, count):
         values = sample_nodes(slice(first, first + count))
         if use_heap:
-            radius_pow = float(tree.radius[first]) ** dims
+            radius_pow = tree.level_radii[tree.level[first]] ** dims
             for row, f in enumerate(values.tolist(), start=first):
                 heapq.heappush(frontier, (-(f * radius_pow), row))
 

@@ -94,7 +94,6 @@ class DomainBounds:
 # (name, one value per dimension, dtype, value of a row before it is written)
 _COLUMNS = (
     ("center", True, float, 0.0),
-    ("radius", False, float, 0.0),
     ("level", False, np.int64, 0),
     ("first_child", False, np.int64, -1),
     ("sample", True, float, np.nan),
@@ -155,7 +154,7 @@ class Node:
 
     @property
     def radius(self) -> float:
-        return float(self.tree.radius[self.index])
+        return self.tree.level_radii[self.level]
 
     @property
     def level(self) -> int:
@@ -207,7 +206,8 @@ class TreePyramid:
     The tree is one table of node rows in creation order, held as column
     attributes; row ``i`` is node ``i`` and the root is row 0:
 
-    - its cell: ``center`` (K,), ``radius`` and ``level``;
+    - its cell: ``center`` (K,) and ``level``; every cell of one level
+      has the same radius, ``level_radii[level]``;
     - its place in the tree: ``first_child``, the row of its first child
       or -1, so a row is a leaf exactly when ``first_child < 0``;
     - its last draw: ``sample`` (K,), ``target_value`` and ``weight``,
@@ -239,14 +239,14 @@ class TreePyramid:
         for name, per_dim, dtype, fill in _COLUMNS:
             setattr(self, name,
                     np.full((0, self.dims) if per_dim else (0,), fill, dtype))
-        self._append(bounds.center[None, :], bounds.radius, 0)
+        self._append(bounds.center[None, :], 0)
 
-    def _append(self, centers, radius: float, level: int) -> int:
+    def _append(self, centers, level: int) -> int:
         """Add one leaf row per center and return the first new row."""
         first = self._size
         self._size += centers.shape[0]
-        if self._size > self.radius.shape[0]:
-            capacity = max(self._size, 2 * self.radius.shape[0])
+        if self._size > self.level.shape[0]:
+            capacity = max(self._size, 2 * self.level.shape[0])
             for name, _, dtype, fill in _COLUMNS:
                 old = getattr(self, name)
                 new = np.full((capacity,) + old.shape[1:], fill, dtype)
@@ -254,7 +254,6 @@ class TreePyramid:
                 setattr(self, name, new)
         rows = slice(first, self._size)
         self.center[rows] = centers
-        self.radius[rows] = radius
         self.level[rows] = level
         return first
 
@@ -275,7 +274,8 @@ class TreePyramid:
         return self._size
 
     def per_level(self, fn, index) -> np.ndarray:
-        """``fn(radius)`` for the nodes at rows ``index``.
+        """``fn(radius)`` for the nodes at rows ``index`` (an int array or a
+        slice).
 
         Every node of one level has the same radius, so ``fn`` runs once per
         level on a Python float and each value equals the scalar expression
@@ -283,7 +283,7 @@ class TreePyramid:
         differently from Python's).
         """
         table = np.array([fn(radius) for radius in self.level_radii])
-        return table.take(self.level.take(index))
+        return table.take(self.level[index])
 
     def expand(self, row) -> int:
         """Split the leaf at row ``row`` into its 2**K children and return
@@ -300,12 +300,12 @@ class TreePyramid:
             raise DepthLimitError(
                 f"expansion past depth cap {self.max_depth}; the tree cannot "
                 "refine further")
-        half = float(self.radius[i]) / 2.0
+        half = self.level_radii[level] / 2.0
         if level + 1 == len(self.level_radii):
             self.level_radii.append(half)
             self._child_offsets.append(half * self._signs)
         first = self._append(self.center[i] + self._child_offsets[level],
-                             half, level + 1)
+                             level + 1)
         self.first_child[i] = first
         return first
 
@@ -358,7 +358,7 @@ def serialize_tree(tree: TreePyramid) -> str:
         weight, sample = float(tree.weight[row]), tree.sample[row].tolist()
         fields = [str(tree.level[row]),
                   *map(repr, tree.center[row].tolist()),
-                  repr(float(tree.radius[row])),
+                  repr(tree.level_radii[tree.level[row]]),
                   "-" if math.isnan(weight) else repr(weight),
                   *(["-"] if math.isnan(sample[0]) else map(repr, sample))]
         lines.append(" ".join(fields))

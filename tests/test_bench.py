@@ -57,14 +57,28 @@ def test_spec_rejects_non_integral_counts():
     for key, bad in (("trials", 2.7), ("trials", "two"), ("trials", "2.5"),
                      ("trials", None), ("trials", math.nan),
                      ("jsd_points", 300.5), ("jsd_points", math.inf),
-                     ("dims", (1.9,)), ("sample_counts", (16, 32.5))):
+                     ("dims", (1.9,)), ("sample_counts", (16, 32.5)),
+                     ("dims", 2), ("methods", 5), ("families", None),
+                     ("base_seed", "x"), ("base_seed", 2.5),
+                     ("base_seed", None)):
         with pytest.raises(ValueError, match=key):
             ExperimentSpec(**{key: bad})
     # whole numbers of any type, and strings spelling them, are accepted
     spec = ExperimentSpec(trials=2.0, dims=(np.int64(2),),
-                          sample_counts=("16", 32))
+                          sample_counts=("16", 32), base_seed="-7")
     assert (spec.trials, spec.dims, spec.sample_counts) == (2, (2,), (16, 32))
     assert type(spec.dims[0]) is int
+    assert spec.base_seed == -7
+    # seeds are exact at any size: no round trip through a float
+    assert ExperimentSpec(base_seed=str(2 ** 64 + 1)).base_seed == 2 ** 64 + 1
+
+
+def test_base_seed_names_the_same_runs_whatever_its_type():
+    rows = [run_single(ExperimentSpec(base_seed=seed, jsd_points=100),
+                       "tpais", "normal", 1, 16, 0, clock=_ZERO_CLOCK)
+            for seed in (3, 3.0, "3", np.int64(3))]
+    assert len({row.seed for row in rows}) == 1
+    assert rows[0].seed == derive_seed(3, "run", "tpais", "normal", 1, 16, 0)
 
 
 def test_spec_rejects_empty_lists():
@@ -216,6 +230,15 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     assert main(["--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", ['["methods"]', "3", '"tpais"'])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
 @pytest.mark.parametrize("trials", ["two", None])
 def test_cli_rejects_non_numeric_config_count(tmp_path, capsys, trials):
     cfg = tmp_path / "bad.json"
@@ -226,7 +249,9 @@ def test_cli_rejects_non_numeric_config_count(tmp_path, capsys, trials):
 
 @pytest.mark.parametrize("key, value", [("trials", 2.7), ("dims", [1.9]),
                                         ("sample_counts", [16, "x"]),
-                                        ("jsd_points", "two")])
+                                        ("jsd_points", "two"), ("dims", 2),
+                                        ("base_seed", "x"),
+                                        ("kde_bandwidth", "wide")])
 def test_cli_rejects_non_integral_config_count(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({key: value}))
@@ -255,8 +280,30 @@ def test_cli_rejects_empty_config_list(tmp_path, capsys):
 
 
 def test_cli_rejects_zero_kde_bandwidth(tmp_path, capsys):
-    assert main(["--kde-bandwidth", "0", "--out-dir", str(tmp_path)]) == 2
-    assert "kde_bandwidth" in capsys.readouterr().err
+    for text in ("0", "wide"):
+        assert main(["--kde-bandwidth", text, "--out-dir", str(tmp_path)]) == 2
+        assert "kde_bandwidth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, key, text, value", [
+    pytest.param(*case, id=case[1]) for case in (
+        ("--methods", "methods", "tpais", ("tpais",)),
+        ("--families", "families", " normal, egg ,", ("normal", "egg")),
+        ("--dims", "dims", "12", (12,)),
+        ("--n-grid", "sample_counts", "16,64", (16, 64)),
+        ("--trials", "trials", "3", 3),
+        ("--seed", "base_seed", "-3", -3),
+        ("--jsd-points", "jsd_points", "300", 300),
+        ("--kde-bandwidth", "kde_bandwidth", "0.1", 0.1))])
+def test_config_text_and_flag_text_give_the_same_spec(tmp_path, flag, key,
+                                                      text, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: text}))
+    parser = build_parser()
+    from_file = spec_from_args(parser.parse_args(["--config", str(cfg)]))
+    from_flag = spec_from_args(parser.parse_args([flag, text]))
+    assert getattr(from_flag, key) == value
+    assert from_file == from_flag
 
 
 def test_cli_end_to_end(tmp_path, capsys):

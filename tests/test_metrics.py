@@ -249,6 +249,8 @@ def test_evidence_estimate_and_mse():
     assert abs(evidence_mse([1.2, 0.8]) - 0.04) < 1e-15
     with pytest.raises(ValueError):
         evidence_estimate([])
+    with pytest.raises(ValueError, match="non-empty"):
+        evidence_mse([])
 
 
 def test_expectation_estimate():

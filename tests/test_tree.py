@@ -106,6 +106,10 @@ def test_radius_law_exact():
         node = stack.pop()
         assert node.radius == tree.root.radius / 2 ** node.level
         stack.extend(node.children)
+    # a radius is its level's; rows may be named by an int array or a slice
+    radii = tree.root.radius / 2.0 ** tree.level[:len(tree)]
+    for rows in (np.arange(len(tree)), slice(0, len(tree))):
+        np.testing.assert_array_equal(tree.per_level(float, rows), radii)
 
 
 def test_partition_fuzz():
