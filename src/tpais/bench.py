@@ -31,10 +31,12 @@ CSV_COLUMNS = ("method", "family", "dims", "N", "trial", "seed", "ness",
 
 def _count(key: str, value, least=1) -> int:
     """``value`` as an int; a ``ValueError`` naming ``key`` unless it is a
-    whole number >= ``least`` (if not None) or a string spelling one."""
+    whole number >= ``least`` (if not None) or a string spelling one.
+    Booleans are not counts."""
     try:
         number = int(value)
-        if ((isinstance(value, str) or number == value)
+        if (not isinstance(value, (bool, np.bool_))
+                and (isinstance(value, str) or number == value)
                 and (least is None or number >= least)):
             return number
     except (TypeError, ValueError, OverflowError):
@@ -74,6 +76,9 @@ class ExperimentSpec:
                 raise ValueError(f"{key} must not be empty")
             if key in ("dims", "sample_counts"):
                 items = tuple(_count(key, n) for n in items)
+            repeated = [x for i, x in enumerate(items) if x in items[:i]]
+            if repeated:
+                raise ValueError(f"{key} lists {repeated[0]!r} more than once")
             object.__setattr__(self, key, items)
         for key, low in ("trials", 1), ("jsd_points", 1), ("base_seed", None):
             object.__setattr__(self, key, _count(key, getattr(self, key), low))

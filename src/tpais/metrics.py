@@ -10,6 +10,7 @@ integrated autocorrelation with Geyer-style truncation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +65,16 @@ def ess_mcmc(chain) -> float:
     The autocorrelation sum is truncated at the first consecutive pair
     ``rho(2k) + rho(2k+1)`` that is not positive. Multivariate chains of
     shape (n, K) report the minimum ESS over dimensions. The result is
-    clamped to [1, n].
+    clamped to [1, n]. A chain with a NaN or infinite state raises
+    ``ValueError``.
     """
     chain = np.asarray(chain, dtype=float)
     if chain.ndim == 1:
         chain = chain[:, None]
     if chain.ndim != 2 or chain.shape[0] < 2:
         raise ValueError("chain must hold at least two states")
+    if not np.isfinite(chain).all():
+        raise ValueError("chain states must be finite")
     n = chain.shape[0]
     ess_min = math.inf
     for d in range(chain.shape[1]):
@@ -88,6 +92,8 @@ def ess_mcmc(chain) -> float:
 
 
 def _uniform_points(bounds: DomainBounds, n: int, rng: np.random.Generator):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dims))
 
 
@@ -97,7 +103,8 @@ def kl_mc(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float
     Uses ``n`` uniform draws scaled by the domain volume. Points where
     ``p == 0`` contribute zero; any point with ``p > 0`` and ``q == 0``
     makes the divergence infinite. A density that breaks the target
-    contract (finite, non-negative, shape (n,)) raises ``ValueError``.
+    contract (finite, non-negative, shape (n,)), or an ``n`` that is not
+    an integer >= 1, raises ``ValueError``.
     """
     pts = _uniform_points(bounds, n, rng)
     pv, qv = _eval_target(p, pts), _eval_target(q, pts)
@@ -117,7 +124,8 @@ def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
     state. The integrand is pointwise non-negative, so the estimate is
     never negative, and the mixture midpoint never vanishes where either
     density is positive, so the estimate is always finite. A density that
-    breaks the target contract raises ``ValueError``, as in :func:`kl_mc`.
+    breaks the target contract, or a bad ``n``, raises ``ValueError``, as
+    in :func:`kl_mc`.
     """
     pts = _uniform_points(bounds, n, rng)
     pv, qv = _eval_target(p, pts), _eval_target(q, pts)
@@ -149,9 +157,6 @@ class KDEModel:
         return self.points.shape[1]
 
     def density(self, x):
-        return kde_density(self, x)
-
-    def __call__(self, x):
         return kde_density(self, x)
 
 

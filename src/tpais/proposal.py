@@ -148,9 +148,6 @@ class TreeProposal:
                                       radii, lambda k: k @ comp)
         return float(acc[0]) if single else acc
 
-    def __call__(self, x):
-        return self.density(x)
-
 
 def mixture_weights(tree: TreePyramid) -> np.ndarray:
     """Normalized per-leaf selection weights ``w_i * r_i**K``.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .proposal import Kernel, TreeProposal, mixture_weights, sample_mixture
-from .tree import DEFAULT_MAX_DEPTH, DomainBounds, TreePyramid
+from .tree import DomainBounds, TreePyramid
 
 
 class Weighting(enum.Enum):
@@ -49,7 +49,6 @@ class SamplerConfig:
     node_selection: NodeSelection = NodeSelection.MAX_EVIDENCE
     resample_leaves: bool = False
     seed: int = 0
-    max_depth: int = DEFAULT_MAX_DEPTH
 
     def __post_init__(self):
         if self.bounds is None:
@@ -144,7 +143,7 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     the live-leaf arrays instead.
     """
     rng = np.random.default_rng(config.seed)
-    tree = TreePyramid(config.bounds, max_depth=config.max_depth)
+    tree = TreePyramid(config.bounds)
     proposal = TreeProposal(tree, config.kernel)
     dims = config.dims
     greedy = config.node_selection is NodeSelection.MAX_EVIDENCE

@@ -10,7 +10,7 @@ exactly zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,23 +96,18 @@ class GaussianMixture:
 
 @dataclass
 class TargetDensity:
-    """A target density paired with its evaluation domain.
+    """A Gaussian-mixture target density paired with its evaluation domain.
 
-    Instances are callable on points or batches. ``model`` exposes the true
-    mixture when the target was synthesized from one.
+    Instances are callable on points or batches; a call evaluates
+    ``model.density``, so the mixture in ``model`` is the target.
     """
 
-    fn: callable = field(repr=False)
+    model: GaussianMixture
     bounds: DomainBounds
-    model: GaussianMixture = None
     name: str = ""
 
     def __call__(self, x):
-        return self.fn(x)
-
-
-def _wrap(model: GaussianMixture, bounds: DomainBounds, name: str) -> TargetDensity:
-    return TargetDensity(fn=model.density, bounds=bounds, model=model, name=name)
+        return self.model.density(x)
 
 
 def make_normal_target(rng: np.random.Generator, dims: int) -> TargetDensity:
@@ -121,7 +116,7 @@ def make_normal_target(rng: np.random.Generator, dims: int) -> TargetDensity:
     mean = rng.uniform(-1.0, 1.0, size=dims)
     std = rng.uniform(0.01, 0.05, size=dims)
     model = GaussianMixture(mean[None, :], (std ** 2)[None, :], np.array([1.0]))
-    return _wrap(model, bounds, "normal")
+    return TargetDensity(model, bounds, "normal")
 
 
 def make_gmm5_target(rng: np.random.Generator, dims: int) -> TargetDensity:
@@ -130,7 +125,7 @@ def make_gmm5_target(rng: np.random.Generator, dims: int) -> TargetDensity:
     means = rng.uniform(-1.0, 1.0, size=(5, dims))
     variances = rng.uniform(0.01, 0.05, size=(5, dims))
     model = GaussianMixture(means, variances, np.full(5, 0.2))
-    return _wrap(model, bounds, "gmm5")
+    return TargetDensity(model, bounds, "gmm5")
 
 
 def make_egg_target(dims: int) -> TargetDensity:
@@ -146,5 +141,5 @@ def make_egg_target(dims: int) -> TargetDensity:
     means = np.stack([g.ravel() for g in grids], axis=1)
     m = means.shape[0]
     model = GaussianMixture(means, np.full((m, dims), 0.01), np.full(m, 1.0 / m))
-    return _wrap(model, bounds, "egg")
+    return TargetDensity(model, bounds, "egg")
 

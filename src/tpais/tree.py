@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_MAX_DEPTH = 64
+MAX_DEPTH = 64  # deepest level a node may have; the root is level 0
 
 
 class DepthLimitError(RuntimeError):
-    """Raised when expanding a node would exceed the tree's depth cap."""
+    """Raised when expanding a node would exceed ``MAX_DEPTH``."""
 
 
 def _as_batch(x, dims: int):
@@ -102,23 +102,14 @@ _COLUMNS = (
 )
 
 
-def _optional_float(column: str, doc: str):
-    """Property reading one scalar column; NaN reads as None."""
-
-    def get(self):
-        value = float(getattr(self.tree, column)[self.index])
-        return None if math.isnan(value) else value
-
-    return property(get, doc=doc)
-
-
 class Node:
     """Read-only handle on one cell of a tree pyramid: row ``index`` of
     ``tree``.
 
     Handles are made on demand and compare equal, and hash, by the tree
-    they belong to and their row. Every attribute reads the tree's row, so
-    the tree's columns stay the only copy of its geometry and draws.
+    they belong to and their row. They view the cell and its place in the
+    tree; every attribute reads the tree's row. A node's last draw is read
+    from the tree's ``sample``, ``target_value`` and ``weight`` columns.
 
     Attributes
     ----------
@@ -130,9 +121,6 @@ class Node:
         Depth below the root (root is 0).
     children : list of Node
         Empty for leaves, exactly ``2**K`` entries otherwise.
-    sample, weight, target_value
-        Last sample drawn inside the cell, its importance weight and raw
-        target density. ``None`` until the sampler writes them.
     """
 
     __slots__ = ("tree", "index")
@@ -165,15 +153,6 @@ class Node:
         first = int(self.tree.first_child[self.index])
         rows = range(first, first + 2 ** self.dims) if first >= 0 else ()
         return [Node(self.tree, row) for row in rows]
-
-    @property
-    def sample(self):
-        row = self.tree.sample[self.index]
-        return None if math.isnan(row[0]) else row.copy()
-
-    weight = _optional_float("weight", "Importance weight of the last draw.")
-    target_value = _optional_float("target_value",
-                                   "Target density at the last draw.")
 
     @property
     def is_leaf(self) -> bool:
@@ -221,12 +200,9 @@ class TreePyramid:
     its children.
     """
 
-    def __init__(self, bounds: DomainBounds, max_depth: int = DEFAULT_MAX_DEPTH):
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+    def __init__(self, bounds: DomainBounds):
         self.bounds = bounds
         self.dims = bounds.dims
-        self.max_depth = int(max_depth)
         # Children are ordered lexicographically over the sign pattern:
         # "+" before "-", first dimension most significant.
         self._signs = np.array(list(itertools.product((1.0, -1.0),
@@ -290,15 +266,15 @@ class TreePyramid:
         the row of the first; the children take consecutive rows.
 
         Raises ``ValueError`` for a row that is not a leaf of this tree and
-        ``DepthLimitError`` when the child level would exceed ``max_depth``.
+        ``DepthLimitError`` when the child level would exceed ``MAX_DEPTH``.
         """
         i = operator.index(row)
         if not (0 <= i < self._size and self.first_child[i] < 0):
             raise ValueError(f"row {i} is not a leaf of this tree")
         level = int(self.level[i])
-        if level >= self.max_depth:
+        if level >= MAX_DEPTH:
             raise DepthLimitError(
-                f"expansion past depth cap {self.max_depth}; the tree cannot "
+                f"expansion past depth cap {MAX_DEPTH}; the tree cannot "
                 "refine further")
         half = self.level_radii[level] / 2.0
         if level + 1 == len(self.level_radii):

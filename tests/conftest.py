@@ -15,9 +15,9 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def grow_random_tree(dims, n_expansions, rng, max_depth=64):
+def grow_random_tree(dims, n_expansions, rng):
     """Tree over [-1, 1]**dims grown by uniformly random leaf expansions."""
-    tree = TreePyramid(DomainBounds.centered(dims), max_depth=max_depth)
+    tree = TreePyramid(DomainBounds.centered(dims))
     for _ in range(n_expansions):
         leaves = tree.leaf_indices()
         tree.expand(leaves[int(rng.integers(len(leaves)))])

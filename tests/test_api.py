@@ -11,7 +11,7 @@ def test_every_exported_name_resolves():
 
 def test_internal_names_stay_in_their_modules():
     # callers get Node handles from the tree and never build result rows
-    for module, name in ((tree, "Node"), (tree, "DEFAULT_MAX_DEPTH"),
+    for module, name in ((tree, "Node"), (tree, "MAX_DEPTH"),
                          (bench, "ResultRow"),
                          (bench, "DEFAULT_SAMPLE_COUNTS")):
         assert hasattr(module, name) and name not in tpais.__all__

@@ -60,7 +60,10 @@ def test_spec_rejects_non_integral_counts():
                      ("dims", (1.9,)), ("sample_counts", (16, 32.5)),
                      ("dims", 2), ("methods", 5), ("families", None),
                      ("base_seed", "x"), ("base_seed", 2.5),
-                     ("base_seed", None)):
+                     ("base_seed", None), ("trials", True),
+                     ("jsd_points", np.True_), ("dims", [True]),
+                     ("sample_counts", [16, np.True_]),
+                     ("base_seed", False)):
         with pytest.raises(ValueError, match=key):
             ExperimentSpec(**{key: bad})
     # whole numbers of any type, and strings spelling them, are accepted
@@ -79,6 +82,20 @@ def test_base_seed_names_the_same_runs_whatever_its_type():
             for seed in (3, 3.0, "3", np.int64(3))]
     assert len({row.seed for row in rows}) == 1
     assert rows[0].seed == derive_seed(3, "run", "tpais", "normal", 1, 16, 0)
+
+
+def test_spec_rejects_repeated_entries():
+    # one cell would run twice and write two rows with the same key
+    with pytest.raises(ValueError, match="methods lists 'tpais-nr'"):
+        ExperimentSpec(methods="tpais-nr,tpais-nr")
+    with pytest.raises(ValueError, match="families lists 'egg'"):
+        ExperimentSpec(families=["egg", "normal", "egg"])
+    # repeats are found after coercion
+    with pytest.raises(ValueError, match="dims lists 1 more"):
+        ExperimentSpec(dims=[1, "1"])
+    with pytest.raises(ValueError, match="sample_counts lists 16 more"):
+        ExperimentSpec(sample_counts=[16, 32, 16.0])
+    assert ExperimentSpec(dims=[1, "2", 3.0]).dims == (1, 2, 3)
 
 
 def test_spec_rejects_empty_lists():
@@ -251,7 +268,9 @@ def test_cli_rejects_non_numeric_config_count(tmp_path, capsys, trials):
                                         ("sample_counts", [16, "x"]),
                                         ("jsd_points", "two"), ("dims", 2),
                                         ("base_seed", "x"),
-                                        ("kde_bandwidth", "wide")])
+                                        ("kde_bandwidth", "wide"),
+                                        ("trials", True), ("dims", [True]),
+                                        ("base_seed", False)])
 def test_cli_rejects_non_integral_config_count(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({key: value}))
@@ -277,6 +296,14 @@ def test_cli_rejects_empty_config_list(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert "families must not be empty" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["empty.json"]
+
+
+def test_cli_rejects_a_repeated_list_entry(tmp_path, capsys):
+    assert main(["--methods", "tpais-nr,tpais-nr", "--families", "normal",
+                 "--dims", "1", "--n-grid", "16", "--trials", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "methods lists 'tpais-nr' more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # nothing was run
 
 
 def test_cli_rejects_zero_kde_bandwidth(tmp_path, capsys):

@@ -157,7 +157,7 @@ def test_golden_kde_density(dims):
     rng = np.random.default_rng(derive_seed(5150, "kde", dims))
     model = kde_fit(rng.normal(0.0, 0.4, size=(1000, dims)), bandwidth=0.07)
     query = rng.uniform(-1.0, 1.0, size=(5000, dims))
-    assert _digest(model(query).tobytes()) == KDE_GOLDEN[dims]
+    assert _digest(model.density(query).tobytes()) == KDE_GOLDEN[dims]
 
 
 PMC_DM_GOLDEN = {

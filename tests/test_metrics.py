@@ -74,6 +74,10 @@ def test_ess_mcmc_validation_and_multivariate():
         ess_mcmc(np.ones(100))  # constant chain
     with pytest.raises(ValueError):
         ess_mcmc(np.array([1.0]))
+    # a broken chain must not report the full ESS n
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ess_mcmc(np.array([1.0, bad, 2.0, 0.5]))
     rng = np.random.default_rng(9)
     iid = rng.standard_normal(5000)
     slow = np.cumsum(rng.standard_normal(5000)) * 0.05
@@ -122,6 +126,17 @@ def test_jsd_identical_zero_and_symmetric():
     ba = jsd(other.density, model.density, BOUNDS_1D, 2000,
              np.random.default_rng(8))
     assert ab == ba
+
+
+@pytest.mark.parametrize("divergence", [jsd, kl_mc])
+def test_divergence_point_count_is_an_integer(divergence):
+    model = GaussianMixture([[0.1]], [[0.04]], [1.0])
+    for n in (0, -3, 2.5, 4.0, True, np.True_, "8", None):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            divergence(model.density, model.density, BOUNDS_1D, n,
+                       np.random.default_rng(6))
+    assert divergence(model.density, model.density, BOUNDS_1D, np.int64(1),
+                      np.random.default_rng(6)) == 0.0
 
 
 def test_jsd_disjoint_uniforms():
@@ -208,7 +223,7 @@ def test_kde_batch_chunking_consistent(monkeypatch):
     batch = model.density(query)
     singles = np.array([model.density(q) for q in query])
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
-    assert kde_density(model, query[0]) == model(query[0])
+    assert kde_density(model, query[0]) == model.density(query[0])
 
     # every user of the shared kernel sum, in one block and then in many:
     # 3500 pairs give blocks of 7 query rows (1000 % 7 != 0), 54 PMC
@@ -218,15 +233,16 @@ def test_kde_batch_chunking_consistent(monkeypatch):
                     seed=25)
     tree = grow_random_tree(2, 60, np.random.default_rng(26))
     mixture = TreeProposal(tree, Kernel.GAUSSIAN)
-    one_block = (model(query), run_pmc(target, pmc)[0].weights,
-                 mixture(query))
+    one_block = (model.density(query), run_pmc(target, pmc)[0].weights,
+                 mixture.density(query))
     monkeypatch.setattr(proposal, "_BLOCK_PAIRS", 3500)
     assert 1000 % (3500 // len(tree.leaves())) != 0
-    np.testing.assert_array_equal(model(query), one_block[0])
+    np.testing.assert_array_equal(model.density(query), one_block[0])
     np.testing.assert_array_equal(run_pmc(target, pmc)[0].weights,
                                   one_block[1])
     # k @ comp groups its sums by block row count, so only nearly equal
-    np.testing.assert_allclose(mixture(query), one_block[2], rtol=1e-12)
+    np.testing.assert_allclose(mixture.density(query), one_block[2],
+                               rtol=1e-12)
 
 
 def test_kde_validation():

@@ -129,10 +129,6 @@ def test_density_rejects_bad_shapes():
         prop.density(np.zeros((4, 3)))
 
 
-def test_callable_alias():
-    prop = TreeProposal(TreePyramid(DomainBounds.centered(1)), Kernel.UNIFORM)
-    assert prop(np.array([0.2])) == prop.density(np.array([0.2]))
-
 
 def _leaf_draws(leaf, kernel, n, rng):
     """``n`` draws from one leaf's component, one per repeat of its row."""

@@ -59,17 +59,17 @@ def test_budget_overshoot_bound():
 def test_resampling_returns_leaf_samples():
     cfg = SamplerConfig(dims=1, n_samples=8, seed=5, resample_leaves=True)
     res = run_tp_ais(uniform_target, cfg)
-    leaves = res.tree.leaves()
+    leaves = res.tree.leaf_indices()
     assert len(res.sample_set) == len(leaves) == 8
-    stored = np.array([leaf.sample for leaf in leaves])
-    np.testing.assert_array_equal(res.sample_set.samples, stored)
+    np.testing.assert_array_equal(res.sample_set.samples,
+                                  res.tree.sample[leaves])
 
 
 def test_one_sample_per_leaf_without_resampling():
     target = make_gmm5_target(np.random.default_rng(21), 1)
     res = run_tp_ais(target, SamplerConfig(dims=1, n_samples=64, seed=2))
     returned = {float(x) for x in res.sample_set.samples[:, 0]}
-    leaf_samples = {float(leaf.sample[0]) for leaf in res.tree.leaves()}
+    leaf_samples = set(res.tree.sample[res.tree.leaf_indices(), 0].tolist())
     # every final leaf sample appears in the returned set (ancestors add more)
     assert leaf_samples <= returned
 
@@ -205,8 +205,9 @@ def test_max_evidence_flat_target_splits_in_insertion_order():
             [True] * splits + [False] * (len(order) - splits))
 
 
-def test_depth_cap_surfaces():
-    cfg = SamplerConfig(dims=1, n_samples=16, seed=0, max_depth=3)
+def test_depth_cap_surfaces(monkeypatch):
+    monkeypatch.setattr("tpais.tree.MAX_DEPTH", 3)
+    cfg = SamplerConfig(dims=1, n_samples=16, seed=0)
     with pytest.raises(DepthLimitError):
         run_tp_ais(uniform_target, cfg)
 
@@ -268,7 +269,7 @@ def test_leaf_volume_evidence_consistency():
         cfg = SamplerConfig(dims=1, n_samples=4096,
                             seed=derive_seed(602, "r", s))
         res = run_tp_ais(smooth.density, cfg)
-        est = sum(leaf.target_value * leaf.volume
+        est = sum(res.tree.target_value[leaf.index] * leaf.volume
                   for leaf in res.tree.leaves())
         errs.append(abs(est - 1.0))
     assert np.median(errs) <= 0.05

@@ -112,6 +112,17 @@ def test_normal_target_reproducible():
     np.testing.assert_array_equal(a.model.variances, b.model.variances)
 
 
+def test_target_call_reads_its_model():
+    # the mixture in ``model`` is the target: replacing it changes the calls
+    target = make_gmm5_target(np.random.default_rng(8), 2)
+    pts = np.random.default_rng(9).uniform(-1, 1, size=(50, 2))
+    np.testing.assert_array_equal(target(pts), target.model.density(pts))
+    other = GaussianMixture([[0.3, -0.2]], [[0.02, 0.04]], [1.0])
+    target.model = other
+    np.testing.assert_array_equal(target(pts), other.density(pts))
+    assert target(pts[0]) == other.density(pts[0])
+
+
 def test_gmm5_target_shape():
     target = make_gmm5_target(np.random.default_rng(7), 3)
     model = target.model

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import grow_random_tree
 from tpais.proposal import Kernel, TreeProposal
-from tpais.tree import (DEFAULT_MAX_DEPTH, DepthLimitError, DomainBounds,
-                        Node, TreePyramid, serialize_tree)
+from tpais.tree import (DepthLimitError, DomainBounds, Node, TreePyramid,
+                        serialize_tree)
 
 
 def test_centered_bounds():
@@ -237,15 +237,15 @@ def test_expand_takes_and_returns_rows():
     assert len(tree) == 9
 
 
-def test_depth_cap():
-    tree = TreePyramid(DomainBounds.centered(1), max_depth=3)
+def test_depth_cap(monkeypatch):
+    monkeypatch.setattr("tpais.tree.MAX_DEPTH", 3)
+    tree = TreePyramid(DomainBounds.centered(1))
     row = 0
     for _ in range(3):
         row = tree.expand(row)
     assert Node(tree, row).level == 3
-    with pytest.raises(DepthLimitError):
+    with pytest.raises(DepthLimitError, match="depth cap 3"):
         tree.expand(row)
-    assert TreePyramid(DomainBounds.centered(1)).max_depth == DEFAULT_MAX_DEPTH
 
 
 def test_leaves_follow_insertion_order():
@@ -265,13 +265,13 @@ def test_node_handles_read_the_tree_rows():
     leaf = tree.leaves()[0]
     assert leaf == tree.find_leaf(leaf.center)
     assert type(leaf.radius) is float and type(leaf.level) is int
-    assert leaf.weight is None and leaf.sample is None
-    tree.weight[leaf.index] = 2.5
-    tree.sample[leaf.index] = [0.1, 0.2]
-    assert leaf.weight == 2.5
-    np.testing.assert_array_equal(leaf.sample, [0.1, 0.2])
-    tree.weight[leaf.index] = np.nan
-    assert leaf.weight is None
+    np.testing.assert_array_equal(leaf.center, tree.center[leaf.index])
+    # handles view geometry only; a node's draw is read from the columns
+    assert np.isnan(tree.weight[leaf.index])
+    assert np.isnan(tree.sample[leaf.index]).all()
+    assert np.isnan(tree.target_value[leaf.index])
+    for name in ("sample", "weight", "target_value"):
+        assert not hasattr(leaf, name)
     assert len(tree) == 1 + 6 * 4
 
 
@@ -279,11 +279,12 @@ def test_node_handles_are_read_only():
     tree = TreePyramid(DomainBounds.centered(1))
     leaf = tree.root
     for name, value in (("weight", 1.0), ("sample", np.array([0.5])),
-                        ("target_value", 1.0), ("radius", 0.5)):
+                        ("target_value", 1.0), ("radius", 0.5),
+                        ("center", np.array([0.5])), ("level", 1)):
         with pytest.raises(AttributeError):
             setattr(leaf, name, value)
-    assert leaf.weight is None and leaf.sample is None
-    assert leaf.target_value is None and leaf.radius == 1.0
+    assert leaf.radius == 1.0 and leaf.level == 0
+    assert np.isnan(tree.weight[0]) and np.isnan(tree.target_value[0])
 
 
 def test_leaf_flag_is_first_child_below_zero():
