@@ -92,7 +92,8 @@ class ExperimentSpec:
             bandwidth = float(self.kde_bandwidth)
         except (TypeError, ValueError):
             bandwidth = math.nan
-        if not 0.0 < bandwidth < math.inf:
+        if (isinstance(self.kde_bandwidth, (bool, np.bool_))
+                or not 0.0 < bandwidth < math.inf):
             raise ValueError("kde_bandwidth must be positive and finite, "
                              f"got {self.kde_bandwidth!r}")
         object.__setattr__(self, "kde_bandwidth", bandwidth)

@@ -48,8 +48,11 @@ def ness_is(weights) -> float:
 
 
 def _autocorrelation(x: np.ndarray) -> np.ndarray:
-    """Biased sample autocorrelation of a 1-d series via FFT."""
+    """Biased sample autocorrelation of a 1-d series via FFT. The series is
+    first scaled by an exact power of two to a largest magnitude below 1,
+    which leaves the autocorrelation unchanged and keeps its squares finite."""
     n = x.size
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     centered = x - x.mean()
     nfft = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(centered, nfft)

@@ -122,29 +122,29 @@ class TreeProposal:
         return np.exp(-0.5 * np.sum(z * z, axis=1)) / tree.per_level(
             lambda r: (r * math.sqrt(2.0 * math.pi)) ** tree.dims, rows)
 
-    def density(self, x):
-        """Mixture density ``mean_i D(x; leaf_i)`` at one point or a batch.
+    def density(self, x, every_node=False):
+        """Mixture density ``mean_i D(x; leaf_i)`` at one point or a batch,
+        or with ``every_node`` the mean over every node of the tree.
 
-        The uniform mixture is ``1 / (L * volume)`` of the leaf holding each
-        point (zero outside the domain), found by the tree's descent in
-        O(n * depth). The Gaussian mixture sums every leaf, in O(n * L).
+        A point lies in the cells of its leaf and of its leaf's ancestors, so
+        the uniform mixture is read at the level of the leaf that the tree's
+        descent finds (zero outside the domain). The Gaussian one sums all.
         """
         tree = self.tree
         pts, single = _as_batch(x, tree.dims)
         if self.kernel is Kernel.UNIFORM:
             rows = tree.locate(pts)
-            branching = 2 ** tree.dims
-            n_leaves = 1 + (len(tree) - 1) // branching * (branching - 1)
-            comp = 1.0 / (n_leaves
-                          * (2.0 * np.array(tree.level_radii)) ** tree.dims)
+            vol = (2.0 * np.array(tree.level_radii)) ** tree.dims
+            comp = (np.cumsum(1.0 / vol) / len(tree) if every_node
+                    else 1.0 / (tree.leaf_indices().size * vol))
             acc = np.where(rows >= 0, comp.take(tree.level.take(rows)),
                            0.0)
         else:
-            leaves = tree.leaf_indices()
-            radii = tree.per_level(float, leaves)
-            comp = 1.0 / (len(leaves)
+            nodes = np.arange(len(tree)) if every_node else tree.leaf_indices()
+            radii = tree.per_level(float, nodes)
+            comp = 1.0 / (len(nodes)
                           * (radii * math.sqrt(2.0 * math.pi)) ** tree.dims)
-            acc = gaussian_kernel_sum(pts, tree.center.take(leaves, axis=0),
+            acc = gaussian_kernel_sum(pts, tree.center.take(nodes, axis=0),
                                       radii, lambda k: k @ comp)
         return float(acc[0]) if single else acc
 

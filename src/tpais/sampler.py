@@ -23,7 +23,7 @@ class Weighting(enum.Enum):
     """Importance weight denominator."""
 
     STANDARD = "standard"            # sample's own component density
-    DETERMINISTIC_MIXTURE = "dm"     # full leaf-mixture density
+    DETERMINISTIC_MIXTURE = "dm"     # mixture of the set's components
 
 
 class NodeSelection(enum.Enum):
@@ -124,23 +124,22 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         order (the run can be cut short after any iteration and remains a
         valid importance-sampling state). With ``resample_leaves`` each
         iteration redraws all current leaves in place and only the final
-        per-leaf samples are returned. Deterministic-mixture weights in the
-        returned set are evaluated against the mixture as it stood when
-        each sample was drawn, so each carries the leaf count of its own
-        iteration: even with the uniform kernel their normalized values
-        differ from the standard ones. :func:`leaf_sample_set` re-weights
-        the final leaves against the finished tree, where the two agree.
+        per-leaf samples are returned. The tree keeps standard weights, so
+        the weighting does not change the tree. Deterministic-mixture
+        weights divide, once after the loop, by the mean density of the
+        components that drew the returned set: every node without
+        resampling, or the final leaves (as :func:`leaf_sample_set`).
 
     Notes
     -----
     Without resampling every node is drawn once, when it is created, so
-    the returned set is the tree's sample and weight columns in creation
-    order. Max-evidence selection then pops the leaf to split from a heap
-    keyed by ``(-target_value * radius**K, row)``: the earliest-created
-    leaf wins ties, as ``argmax`` over the insertion-ordered leaves does,
-    and each split costs O(2**K log L). Resampling and mixture draws change
-    every leaf's score or weight in each iteration, so they select over
-    the live-leaf arrays instead.
+    the returned set holds the tree's rows in creation order. Max-evidence
+    selection then pops the leaf to split from a heap keyed by
+    ``(-target_value * radius**K, row)``: the earliest-created leaf wins
+    ties, as ``argmax`` over the insertion-ordered leaves does, and each
+    split costs O(2**K log L). Resampling and mixture draws change every
+    leaf's score or weight in each iteration, so they select over the
+    live-leaf arrays instead.
     """
     rng = np.random.default_rng(config.seed)
     tree = TreePyramid(config.bounds)
@@ -153,8 +152,6 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     def sample_nodes(rows):
         points, q = proposal.draw(rows, rng)
         values = _eval_target(target, points)
-        if config.weighting is Weighting.DETERMINISTIC_MIXTURE:
-            q = proposal.density(points)
         tree.weight[rows] = _weights(values, q)
         tree.sample[rows] = points
         tree.target_value[rows] = values
@@ -187,9 +184,11 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
 
     rows = (tree.leaf_indices() if config.resample_leaves
             else np.arange(len(tree)))
-    sample_set = WeightedSampleSet(tree.sample.take(rows, axis=0),
-                                   tree.weight.take(rows))
-    return TPAISResult(sample_set, tree, config)
+    samples, weights = tree.sample.take(rows, axis=0), tree.weight.take(rows)
+    if config.weighting is Weighting.DETERMINISTIC_MIXTURE:
+        weights = _weights(tree.target_value.take(rows), proposal.density(
+            samples, every_node=not config.resample_leaves))
+    return TPAISResult(WeightedSampleSet(samples, weights), tree, config)
 
 
 def leaf_sample_set(tree: TreePyramid, kernel: Kernel,

@@ -38,7 +38,8 @@ def test_spec_validation():
         ExperimentSpec(trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(sample_counts=(0,))
-    for bandwidth in (0.0, -0.1, math.inf, math.nan, "-1"):
+    for bandwidth in (0.0, -0.1, math.inf, math.nan, "-1", True, False,
+                      np.True_):
         with pytest.raises(ValueError, match="kde_bandwidth"):
             ExperimentSpec(kde_bandwidth=bandwidth)
     with pytest.raises(ValueError):
@@ -270,7 +271,8 @@ def test_cli_rejects_non_numeric_config_count(tmp_path, capsys, trials):
                                         ("base_seed", "x"),
                                         ("kde_bandwidth", "wide"),
                                         ("trials", True), ("dims", [True]),
-                                        ("base_seed", False)])
+                                        ("base_seed", False),
+                                        ("kde_bandwidth", True)])
 def test_cli_rejects_non_integral_config_count(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({key: value}))

@@ -5,6 +5,10 @@ tree, the standard and deterministic-mixture ``leaf_sample_set`` weights
 and a seeded ``evidence_from_tree`` estimate. The digests were recorded
 before the tree moved to an array-backed store; any change to the
 algorithm's arithmetic or random-number consumption shows up here. The
+seven deterministic-mixture ("-dm-") digests were re-recorded when those
+weights moved out of the sampling loop: the tree now keeps standard
+weights whatever the weighting, and the returned set is weighed once,
+against the components that drew it. The
 "-wide" cases use half-widths whose radii are not powers of two, chosen
 so that NumPy's vectorized ``**`` and Python's ``**`` round their
 ``radius**K`` factors differently.
@@ -64,7 +68,7 @@ CASES = {
 
 GOLDEN = {
     "1d-dm-max":
-        "acea95f982191ea99c70472b3a0ee37d0df9349e7817f70e2ab6759204d8a967",
+        "0f390fb49f049863a97dfefc19e02825f50160578bf9ea2c11b9949337d0b319",
     "1d-gauss-std-max":
         "ca535a85e897e59fbe3e65e1fc74107f9dbe949ea4c69557e32f3604e6b8b36f",
     "1d-gauss-std-max-resample":
@@ -76,13 +80,13 @@ GOLDEN = {
     "1d-std-mix":
         "b5a08b6f860d55c05330dc7f5c77cc4a40a2d7b27dfd550fc14bba4ce3e6830d",
     "2d-dm-max":
-        "206a1e41b40346f37bdb9bc634d2bfd28010c222648b7c4f73513b6456da4c90",
+        "7b6f9a2336219073d8a3d93ec463656af54d3aa50996c7955d0e799d12e2e7ff",
     "2d-dm-mix-resample":
-        "46a367507083e721cb37d591e9335d86e047efd47ef3b490b98e7bb1dc843892",
+        "103d83fb5857bc1476ab1bc458fd65a03dff74e2dd5f0d2d117101e9c6fa4809",
     "2d-gauss-dm-max":
-        "792908687a85a44deb5237e7dbd5064d5fc69fea530bd507fcacb197dfbb2208",
+        "b8142e17c38e0e7ffec0dcef0f2ee404cb15570800e04cbbbe89b6054fb9f88a",
     "2d-gauss-dm-mix-wide":
-        "8a168fba9cefd94bcdde7bdf5d0e696978617c661f9238b1132d384e3f286e1b",
+        "c959261014ab1aed86bb58083af4ceb030d0f91688044da974f5cb8f111fcce0",
     "2d-gauss-std-max":
         "2193d660025a4a0b6988cae0555722a19ceec99eb356552e7288c152186eae64",
     "2d-gauss-std-mix":
@@ -98,9 +102,9 @@ GOLDEN = {
     "2d-std-mix":
         "3b497f683bf80c1d65847e2c928c5597f9b30aca37ac590ce3d494c458b290e9",
     "3d-dm-mix":
-        "b880ff3f8ba9eb7445e523593dcad342ddce977fa3bbece2983effffb6326f47",
+        "f834cd156221d558ee7a4c1ec9777f9a52129fa79496ecf08b97664df9e556a8",
     "3d-dm-mix-wide":
-        "1e4bf050ec48e34f18bb30845d7f459dfc2ad80db87fd8ad9c9557b9592aa7b9",
+        "b9fb71071db6edcd16e90dd17a3de80c3c4b40dd2b0362c2e406b969110ca83b",
     "3d-std-max":
         "172a11733f660159de47876b470dd200f0451aad195027c237e3fea5b8b75331",
 }

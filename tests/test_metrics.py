@@ -1,6 +1,7 @@
 """Metric tests: ESS variants, divergences, KDE, evidence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ def test_ess_mcmc_ar1_closed_form():
 def test_ess_mcmc_alternating_chain_clamped():
     chain = np.tile([1.0, -1.0], 500)
     assert ess_mcmc(chain) == 1000.0
+
+
+@pytest.mark.parametrize("chain", [[1.0, 2.0, 1e308, -1e308],
+                                   [1e308, 1e308, 1.0, 2.0]])
+def test_ess_mcmc_large_finite_chain(chain):
+    # the autocorrelation does not depend on scale, so a chain near the
+    # float range must give the ESS of the same chain scaled down
+    chain = np.array(chain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ess_mcmc(chain) == ess_mcmc(chain * 2.0 ** -1000)
 
 
 def test_ess_mcmc_validation_and_multivariate():

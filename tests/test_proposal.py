@@ -8,7 +8,7 @@ import pytest
 from conftest import dyadic_midpoint_grid, grow_random_tree
 from tpais.proposal import (Kernel, TreeProposal, component_density,
                             mixture_weights, sample_mixture)
-from tpais.tree import DomainBounds, TreePyramid
+from tpais.tree import DomainBounds, Node, TreePyramid
 
 
 class _FixedAlpha:
@@ -98,6 +98,19 @@ def test_density_matches_component_mean():
                                        rtol=1e-12, atol=1e-300)
 
 
+def test_every_node_density_matches_component_mean():
+    rng = np.random.default_rng(43)
+    for kernel in (Kernel.UNIFORM, Kernel.GAUSSIAN):
+        for dims in (1, 2, 3):
+            tree = grow_random_tree(dims, int(rng.integers(1, 9)), rng)
+            pts = rng.uniform(-1.0, 1.0, size=(200, dims))
+            brute = np.mean([component_density(Node(tree, row), pts, kernel)
+                             for row in range(len(tree))], axis=0)
+            np.testing.assert_allclose(
+                TreeProposal(tree, kernel).density(pts, every_node=True),
+                brute, rtol=1e-12, atol=1e-300)
+
+
 def test_uniform_locality():
     # exactly one component is nonzero at any interior point
     rng = np.random.default_rng(13)
@@ -117,8 +130,10 @@ def test_uniform_normalization_quadrature():
     grid = dyadic_midpoint_grid(1 << 13)
     for _ in range(5):
         tree = grow_random_tree(1, int(rng.integers(1, 13)), rng)
-        q = TreeProposal(tree, Kernel.UNIFORM).density(grid[:, None])
-        assert abs(np.trapezoid(q, grid) - 1.0) < 1e-9
+        prop = TreeProposal(tree, Kernel.UNIFORM)
+        for every_node in (False, True):
+            q = prop.density(grid[:, None], every_node=every_node)
+            assert abs(np.trapezoid(q, grid) - 1.0) < 1e-9
 
 
 def test_density_rejects_bad_shapes():

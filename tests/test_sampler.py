@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from tpais.bench import derive_seed
-from tpais.proposal import Kernel, TreeProposal
+from tpais.proposal import Kernel, TreeProposal, component_density
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
                            WeightedSampleSet, evidence_from_tree,
                            leaf_sample_set, run_tp_ais)
 from tpais.targets import GaussianMixture, make_gmm5_target
-from tpais.tree import DepthLimitError, DomainBounds, TreePyramid
+from tpais.tree import (DepthLimitError, DomainBounds, Node, TreePyramid,
+                        serialize_tree)
 
 
 def uniform_target(x):
@@ -147,6 +148,52 @@ def test_dm_matches_standard_after_normalizing():
                          Weighting.DETERMINISTIC_MIXTURE).weights
     np.testing.assert_allclose(ws / ws.sum(), wd / wd.sum(),
                                rtol=0, atol=1e-12)
+
+
+def _runs_by_weighting(dims, kernel, selection, resample):
+    target = make_gmm5_target(np.random.default_rng(derive_seed(61, dims)),
+                              dims)
+    return {weighting: run_tp_ais(target, SamplerConfig(
+        dims=dims, n_samples=40, kernel=kernel, weighting=weighting,
+        node_selection=selection, resample_leaves=resample, seed=12))
+        for weighting in Weighting}
+
+
+ONE_RULE_CASES = pytest.mark.parametrize(
+    "dims, kernel, selection", [
+        (dims, kernel, selection) for dims in (1, 2) for kernel in Kernel
+        for selection in NodeSelection])
+
+
+@ONE_RULE_CASES
+@pytest.mark.parametrize("resample", [False, True])
+def test_weighting_does_not_change_the_tree(dims, kernel, selection,
+                                            resample):
+    runs = _runs_by_weighting(dims, kernel, selection, resample)
+    assert (serialize_tree(runs[Weighting.STANDARD].tree)
+            == serialize_tree(runs[Weighting.DETERMINISTIC_MIXTURE].tree))
+
+
+@ONE_RULE_CASES
+def test_dm_weighs_every_draw_against_every_node(dims, kernel, selection):
+    runs = _runs_by_weighting(dims, kernel, selection, False)
+    dm = runs[Weighting.DETERMINISTIC_MIXTURE]
+    tree, x = dm.tree, dm.sample_set.samples
+    assert np.array_equal(x, runs[Weighting.STANDARD].sample_set.samples)
+    q = np.mean([component_density(Node(tree, row), x, kernel)
+                 for row in range(len(tree))], axis=0)
+    np.testing.assert_allclose(dm.sample_set.weights,
+                               tree.target_value[:len(tree)] / q, rtol=1e-12)
+
+
+@ONE_RULE_CASES
+def test_dm_with_resampling_is_the_leaf_sample_set(dims, kernel, selection):
+    dm = _runs_by_weighting(dims, kernel, selection, True)[
+        Weighting.DETERMINISTIC_MIXTURE]
+    leaf_set = leaf_sample_set(dm.tree, kernel,
+                               Weighting.DETERMINISTIC_MIXTURE)
+    assert np.array_equal(dm.sample_set.samples, leaf_set.samples)
+    assert np.array_equal(dm.sample_set.weights, leaf_set.weights)
 
 
 def test_gaussian_kernel_run():
