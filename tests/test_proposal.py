@@ -92,23 +92,13 @@ def test_density_matches_component_mean():
             tree = grow_random_tree(dims, int(rng.integers(1, 9)), rng)
             pts = rng.uniform(-1.0, 1.0, size=(200, dims))
             prop = TreeProposal(tree, kernel)
-            brute = np.mean([component_density(leaf, pts, kernel)
-                             for leaf in tree.leaves()], axis=0)
-            np.testing.assert_allclose(prop.density(pts), brute,
-                                       rtol=1e-12, atol=1e-300)
-
-
-def test_every_node_density_matches_component_mean():
-    rng = np.random.default_rng(43)
-    for kernel in (Kernel.UNIFORM, Kernel.GAUSSIAN):
-        for dims in (1, 2, 3):
-            tree = grow_random_tree(dims, int(rng.integers(1, 9)), rng)
-            pts = rng.uniform(-1.0, 1.0, size=(200, dims))
-            brute = np.mean([component_density(Node(tree, row), pts, kernel)
-                             for row in range(len(tree))], axis=0)
-            np.testing.assert_allclose(
-                TreeProposal(tree, kernel).density(pts, every_node=True),
-                brute, rtol=1e-12, atol=1e-300)
+            every = [Node(tree, row) for row in range(len(tree))]
+            for every_node, nodes in (False, tree.leaves()), (True, every):
+                brute = np.mean([component_density(node, pts, kernel)
+                                 for node in nodes], axis=0)
+                np.testing.assert_allclose(
+                    prop.density(pts, every_node=every_node), brute,
+                    rtol=1e-12, atol=1e-300)
 
 
 def test_uniform_locality():
