@@ -19,30 +19,14 @@ import numpy as np
 from .baselines import MHConfig, PMCConfig, run_mh, run_pmc
 from .metrics import LN2, ess_mcmc, evidence_estimate, jsd, kde_fit, ness_is
 from .proposal import Kernel, TreeProposal
-from .sampler import (NodeSelection, SamplerConfig, evidence_from_tree,
-                      leaf_sample_set, run_tp_ais)
+from .sampler import (NodeSelection, SamplerConfig, _count,
+                      evidence_from_tree, leaf_sample_set, run_tp_ais)
 from .targets import (GaussianMixture, make_egg_target, make_gmm5_target,
                       make_normal_target)
 
 DEFAULT_SAMPLE_COUNTS = (16, 32, 64, 128, 256, 512, 1024)
 CSV_COLUMNS = ("method", "family", "dims", "N", "trial", "seed", "ness",
                "jsd", "evidence_mse", "wall_time_seconds")
-
-
-def _count(key: str, value, least=1) -> int:
-    """``value`` as an int; a ``ValueError`` naming ``key`` unless it is a
-    whole number >= ``least`` (if not None) or a string spelling one.
-    Booleans are not counts."""
-    try:
-        number = int(value)
-        if (not isinstance(value, (bool, np.bool_))
-                and (isinstance(value, str) or number == value)
-                and (least is None or number >= least)):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    bound = "" if least is None else f" >= {least}"
-    raise ValueError(f"{key} must be a whole number{bound}, got {value!r}")
 
 
 def _items(key: str, value) -> tuple:

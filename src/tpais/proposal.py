@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .tree import Node, TreePyramid, _as_batch
+from .tree import TreePyramid, _as_batch
 
 
 class Kernel(enum.Enum):
@@ -21,25 +21,6 @@ class Kernel(enum.Enum):
 
     UNIFORM = "uniform"
     GAUSSIAN = "gaussian"
-
-
-def component_density(node: Node, x, kernel: Kernel):
-    """Density of a single leaf component at ``x``.
-
-    ``x`` may be one point of shape (K,) or a batch of shape (n, K); the
-    return value is a scalar or an (n,) array accordingly. The uniform
-    component is ``1 / volume`` inside the node's half-open cell and zero
-    elsewhere; the Gaussian component is an isotropic normal with mean
-    ``center`` and standard deviation ``radius`` in every dimension.
-    """
-    pts, single = _as_batch(x, node.dims)
-    if kernel is Kernel.UNIFORM:
-        out = node.contains(pts) / node.volume
-    else:
-        z = (pts - node.center) / node.radius
-        norm = (node.radius * math.sqrt(2.0 * math.pi)) ** node.dims
-        out = np.exp(-0.5 * np.sum(z * z, axis=1)) / norm
-    return float(out[0]) if single else out
 
 
 _BLOCK_PAIRS = 1 << 22  # cap on point-component pairs per block
@@ -109,18 +90,6 @@ class TreeProposal:
             own = (np.exp(-0.5 * np.sum(z * z, axis=1))
                    / (radii * math.sqrt(2.0 * math.pi)) ** dims)
         return points, own
-
-    def own_density(self, rows, points):
-        """Density of each of ``points`` (n, K) under the component of the
-        leaf at the same place in ``rows`` (an int array of n leaf rows);
-        the uniform component is zero unless the point lies in that leaf."""
-        tree = self.tree
-        if self.kernel is Kernel.UNIFORM:
-            return (tree.locate(points) == rows) / tree.per_level(
-                lambda r: (2.0 * r) ** tree.dims, rows)
-        z = (points - tree.center[rows]) / tree.per_level(float, rows)[:, None]
-        return np.exp(-0.5 * np.sum(z * z, axis=1)) / tree.per_level(
-            lambda r: (r * math.sqrt(2.0 * math.pi)) ** tree.dims, rows)
 
     def density(self, x, every_node=False):
         """Mixture density ``mean_i D(x; leaf_i)`` at one point or a batch,

@@ -33,6 +33,22 @@ class NodeSelection(enum.Enum):
     MIXTURE_DRAW = "mixture_draw"    # categorical draw over leaf weights
 
 
+def _count(key: str, value, least=1) -> int:
+    """``value`` as an int; a ``ValueError`` naming ``key`` unless it is a
+    whole number >= ``least`` (if not None) or a string spelling one.
+    Booleans are not counts."""
+    try:
+        number = int(value)
+        if (not isinstance(value, (bool, np.bool_))
+                and (isinstance(value, str) or number == value)
+                and (least is None or number >= least)):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise ValueError(f"{key} must be a whole number{bound}, got {value!r}")
+
+
 @dataclass
 class SamplerConfig:
     """Configuration for :func:`run_tp_ais`.
@@ -51,12 +67,12 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.dims = _count("dims", self.dims)
+        self.n_samples = _count("n_samples", self.n_samples)
         if self.bounds is None:
             self.bounds = DomainBounds.centered(self.dims)
         if self.bounds.dims != self.dims:
             raise ValueError("bounds dimensionality does not match dims")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
 
 
 @dataclass
@@ -124,11 +140,12 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         order (the run can be cut short after any iteration and remains a
         valid importance-sampling state). With ``resample_leaves`` each
         iteration redraws all current leaves in place and only the final
-        per-leaf samples are returned. The tree keeps standard weights, so
-        the weighting does not change the tree. Deterministic-mixture
-        weights divide, once after the loop, by the mean density of the
-        components that drew the returned set: every node without
-        resampling, or the final leaves (as :func:`leaf_sample_set`).
+        per-leaf samples are returned, as :func:`leaf_sample_set` returns
+        them. The tree keeps standard weights, which are returned as
+        stored, so the weighting does not change the tree.
+        Deterministic-mixture weights divide, once after the loop, by the
+        mean density of the components that drew the returned set: every
+        node without resampling, or the final leaves.
 
     Notes
     -----
@@ -184,29 +201,36 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
 
     rows = (tree.leaf_indices() if config.resample_leaves
             else np.arange(len(tree)))
+    return TPAISResult(_stored_set(proposal, rows, config.weighting,
+                                   not config.resample_leaves), tree, config)
+
+
+def _stored_set(proposal: TreeProposal, rows, weighting: Weighting,
+                every_node=False) -> WeightedSampleSet:
+    """The samples stored at ``rows`` of the proposal's tree with their
+    stored standard weights, or with deterministic-mixture weights against
+    the tree's leaves (or, with ``every_node``, every node)."""
+    tree = proposal.tree
     samples, weights = tree.sample.take(rows, axis=0), tree.weight.take(rows)
-    if config.weighting is Weighting.DETERMINISTIC_MIXTURE:
-        weights = _weights(tree.target_value.take(rows), proposal.density(
-            samples, every_node=not config.resample_leaves))
-    return TPAISResult(WeightedSampleSet(samples, weights), tree, config)
+    if weighting is Weighting.DETERMINISTIC_MIXTURE:
+        weights = _weights(tree.target_value.take(rows),
+                           proposal.density(samples, every_node))
+    return WeightedSampleSet(samples, weights)
 
 
 def leaf_sample_set(tree: TreePyramid, kernel: Kernel,
                     weighting: Weighting = Weighting.STANDARD) -> WeightedSampleSet:
-    """One weighted sample per current leaf, weighted against the final tree.
+    """One weighted sample per current leaf, the one stored at the leaf.
 
-    Standard weights divide each leaf's stored target density by its own
-    component density; deterministic-mixture weights divide by the full
-    leaf-mixture density of the finished tree.
+    Standard weights are the stored ``weight`` column: each leaf's target
+    value over the density of the component that drew it. Deterministic-
+    mixture weights divide the stored target value by the leaf-mixture
+    density of the finished tree.
     """
     leaves = tree.leaf_indices()
-    samples = tree.sample[leaves]
-    if np.isnan(samples).any():
+    if np.isnan(tree.weight.take(leaves)).any():
         raise ValueError("every leaf must hold a sample")
-    proposal = TreeProposal(tree, kernel)
-    q = (proposal.own_density(leaves, samples)
-         if weighting is Weighting.STANDARD else proposal.density(samples))
-    return WeightedSampleSet(samples, _weights(tree.target_value[leaves], q))
+    return _stored_set(TreeProposal(tree, kernel), leaves, weighting)
 
 
 def evidence_from_tree(target, tree: TreePyramid, kernel: Kernel,

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
-from tpais.tree import DomainBounds, TreePyramid
+from tpais.proposal import Kernel
+from tpais.tree import DomainBounds, Node, TreePyramid, _as_batch
 
 # verdict lines collected by the acceptance tests, printed after the run
 ACCEPTANCE_LINES = []
@@ -36,3 +39,22 @@ def dyadic_midpoint_grid(intervals):
     h = 2.0 / intervals
     inner = -1.0 + (np.arange(intervals) + 0.5) * h
     return np.concatenate(([-1.0], inner, [1.0]))
+
+
+def component_density(node: Node, x, kernel: Kernel):
+    """Density of a single leaf component at ``x``.
+
+    ``x`` may be one point of shape (K,) or a batch of shape (n, K); the
+    return value is a scalar or an (n,) array accordingly. The uniform
+    component is ``1 / volume`` inside the node's half-open cell and zero
+    elsewhere; the Gaussian component is an isotropic normal with mean
+    ``center`` and standard deviation ``radius`` in every dimension.
+    """
+    pts, single = _as_batch(x, node.dims)
+    if kernel is Kernel.UNIFORM:
+        out = node.contains(pts) / node.volume
+    else:
+        z = (pts - node.center) / node.radius
+        norm = (node.radius * math.sqrt(2.0 * math.pi)) ** node.dims
+        out = np.exp(-0.5 * np.sum(z * z, axis=1)) / norm
+    return float(out[0]) if single else out

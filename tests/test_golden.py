@@ -13,6 +13,18 @@ against the components that drew it. The
 so that NumPy's vectorized ``**`` and Python's ``**`` round their
 ``radius**K`` factors differently.
 
+Eleven digests were re-recorded when the standard ``leaf_sample_set``
+weights became the stored ``weight`` column instead of a recomputation:
+the six Gaussian cases ("1d-gauss-std-max", "1d-gauss-std-max-resample",
+"2d-gauss-dm-max", "2d-gauss-dm-mix-wide", "2d-gauss-std-max",
+"2d-gauss-std-mix"), the three uniform "-wide" cases ("2d-std-max-wide",
+"2d-std-max-resample-wide", "3d-dm-mix-wide") and the two "tpais-gauss"
+benchmark rows. The stored weight takes the drawn ``z`` and NumPy's
+``**``, where the recomputation took ``(x - c) / r`` and Python's ``**``,
+so only the last bits of those weights moved (at most 4e-14 relative),
+and with them the N-ESS of the rows. Every other part of those digests
+kept its value.
+
 The density cases pin the other users of the blocked Gaussian kernel sum:
 KDE densities over more query points than one block holds, DM-PMC draws,
 weights and final locations, and the N-ESS, JSD and evidence error of
@@ -70,9 +82,9 @@ GOLDEN = {
     "1d-dm-max":
         "0f390fb49f049863a97dfefc19e02825f50160578bf9ea2c11b9949337d0b319",
     "1d-gauss-std-max":
-        "ca535a85e897e59fbe3e65e1fc74107f9dbe949ea4c69557e32f3604e6b8b36f",
+        "e91bd9d3b387f76874ce0a196fa7e62550074c85aa4699d817df9af5c78bdab5",
     "1d-gauss-std-max-resample":
-        "1f2a9aa4a14b593c471c127c1cdc81694117073ccb6423dac5ab59d4b825e55a",
+        "b2d01cd302f22ba50d21dc3a8af4abfbbd909efa9e0d07d00b26c2074df96afc",
     "1d-std-max":
         "5930debdc289b86e2d325eac5626de3177a505aed21e9f988b74d6b985b317ab",
     "1d-std-max-resample":
@@ -84,27 +96,27 @@ GOLDEN = {
     "2d-dm-mix-resample":
         "103d83fb5857bc1476ab1bc458fd65a03dff74e2dd5f0d2d117101e9c6fa4809",
     "2d-gauss-dm-max":
-        "b8142e17c38e0e7ffec0dcef0f2ee404cb15570800e04cbbbe89b6054fb9f88a",
+        "aad6101750affd81176947b01733c254e616ba7ebc39a477b0313718441c836c",
     "2d-gauss-dm-mix-wide":
-        "c959261014ab1aed86bb58083af4ceb030d0f91688044da974f5cb8f111fcce0",
+        "11ffe3f9279ab298c7358e6201bf9146db916c931cae82aca73beaa8aa68e275",
     "2d-gauss-std-max":
-        "2193d660025a4a0b6988cae0555722a19ceec99eb356552e7288c152186eae64",
+        "05cf7f70a6a72b82d2db56109d70098de628ca409af1356112b4dd481d79d005",
     "2d-gauss-std-mix":
-        "6457731bd04062711eae4ad4326f4382a6a4d432d9a48beb7efbbcba78640233",
+        "53ce832dd26373f27d86b38372490f0d138eb47d7e765889862ee6b9dd02a62c",
     "2d-std-max":
         "336c5220f3c4b3b44571077804ffb0977ebc719abbed3714c1b7acfe8e7353ee",
     "2d-std-max-resample":
         "f87247fed80832a62874600d5b8d2ea48237b5d8fc846280a2035279431387e1",
     "2d-std-max-resample-wide":
-        "ebecf6b497ce1ccf674b795fbd189d1780e0cffebe56ea3632547279a01fc3d4",
+        "9ed34dc2c03e5ed029e4dabab6343254e67251f0f241d48b9f9096fe1120441d",
     "2d-std-max-wide":
-        "f29fbc165aa33e703929e6eb7a5e98b756b6fc6ed078b4f697d2ad9802ae3f52",
+        "06bec4b0cd1b66b4bda511b4040a1b4288634c56f5dd6d80d69658a4253ca45f",
     "2d-std-mix":
         "3b497f683bf80c1d65847e2c928c5597f9b30aca37ac590ce3d494c458b290e9",
     "3d-dm-mix":
         "f834cd156221d558ee7a4c1ec9777f9a52129fa79496ecf08b97664df9e556a8",
     "3d-dm-mix-wide":
-        "b9fb71071db6edcd16e90dd17a3de80c3c4b40dd2b0362c2e406b969110ca83b",
+        "0ebd2a17603cbe3f1038fef9470e44006674c83ce6141b13fbaecbf9e94db684",
     "3d-std-max":
         "172a11733f660159de47876b470dd200f0451aad195027c237e3fea5b8b75331",
 }
@@ -195,9 +207,9 @@ ROW_GOLDEN = {
     ("pmc-dm", 2):
         "9e97d7151e7daa673681bf8d89806d5d85540b281bbc77980582fcb341f46bd2",
     ("tpais-gauss", 1):
-        "1880705b19b9dac8da7023cec528db292fde8fd57f9a3c742d4105f924a6d1d1",
+        "920087953fa8b35ab872bc4adbf0862df469dead76423f066fe0bd88d2e6bc12",
     ("tpais-gauss", 2):
-        "9eb0b9bfddcd71cd7132a6550c87026113f63b9ce67a42fd2d73af320c913626",
+        "fe7857964ad53ff8a8e454fc7ac0f06f6ee8ad0b60e15a8824ff7569f82e9938",
 }
 
 

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dyadic_midpoint_grid, grow_random_tree
-from tpais.proposal import (Kernel, TreeProposal, component_density,
-                            mixture_weights, sample_mixture)
+from conftest import (component_density, dyadic_midpoint_grid,
+                      grow_random_tree)
+from tpais.bench import derive_seed
+from tpais.proposal import (Kernel, TreeProposal, mixture_weights,
+                            sample_mixture)
+from tpais.sampler import SamplerConfig, run_tp_ais
+from tpais.targets import make_gmm5_target
 from tpais.tree import DomainBounds, Node, TreePyramid
 
 
@@ -155,20 +159,30 @@ def _random_trees(rng):
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
-def test_own_density_matches_component_density(kernel):
-    # each leaf's own component, evaluated at its own draw and at points
-    # scattered over the domain (mostly outside the leaf), bit for bit
-    rng = np.random.default_rng(31)
-    for tree in _random_trees(rng):
-        prop = TreeProposal(tree, kernel)
-        leaves = tree.leaves()
-        rows = np.array([leaf.index for leaf in leaves])
-        points, _ = prop.draw(rows, rng)
-        lo, hi = tree.bounds.lower, tree.bounds.upper
-        for pts in (points, rng.uniform(lo, hi, size=points.shape)):
-            expected = [component_density(leaf, x, kernel)
-                        for leaf, x in zip(leaves, pts)]
-            assert prop.own_density(rows, pts).tolist() == expected
+def test_stored_weight_is_target_over_component_density(kernel):
+    # each stored standard weight is the row's target value over the
+    # density of the component that drew it. A uniform draw can round onto
+    # its cell's upper face, outside the half-open cell, where the oracle
+    # reads zero; such rows are skipped, but never a leaf whose draw
+    # ``locate`` finds in it
+    for dims, resample, half_width in ((1, False, 1.0), (2, False, 1.051767),
+                                       (2, True, 1.0), (3, False, 1.051767)):
+        target = make_gmm5_target(
+            np.random.default_rng(derive_seed(71, dims)), dims)
+        tree = run_tp_ais(target, SamplerConfig(
+            dims=dims, n_samples=120, kernel=kernel, resample_leaves=resample,
+            bounds=DomainBounds.centered(dims, half_width),
+            seed=derive_seed(72, dims, resample))).tree
+        own = np.array([component_density(Node(tree, row), tree.sample[row],
+                                          kernel) for row in range(len(tree))])
+        drawn = own > 0.0
+        leaves = tree.leaf_indices()
+        located = leaves[tree.locate(tree.sample[leaves]) == leaves]
+        assert drawn[located].all() and located.size > 0
+        np.testing.assert_allclose(
+            tree.weight[:len(tree)][drawn],
+            tree.target_value[:len(tree)][drawn] / own[drawn],
+            rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))

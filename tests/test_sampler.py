@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import component_density
 from tpais.bench import derive_seed
-from tpais.proposal import Kernel, TreeProposal, component_density
+from tpais.proposal import Kernel, TreeProposal
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
                            WeightedSampleSet, evidence_from_tree,
                            leaf_sample_set, run_tp_ais)
@@ -188,12 +191,49 @@ def test_dm_weighs_every_draw_against_every_node(dims, kernel, selection):
 
 @ONE_RULE_CASES
 def test_dm_with_resampling_is_the_leaf_sample_set(dims, kernel, selection):
-    dm = _runs_by_weighting(dims, kernel, selection, True)[
-        Weighting.DETERMINISTIC_MIXTURE]
-    leaf_set = leaf_sample_set(dm.tree, kernel,
-                               Weighting.DETERMINISTIC_MIXTURE)
-    assert np.array_equal(dm.sample_set.samples, leaf_set.samples)
-    assert np.array_equal(dm.sample_set.weights, leaf_set.weights)
+    # with resampling the returned set is the leaf sample set, under
+    # either weighting
+    runs = _runs_by_weighting(dims, kernel, selection, True)
+    for weighting, run in runs.items():
+        leaf_set = leaf_sample_set(run.tree, kernel, weighting)
+        assert np.array_equal(run.sample_set.samples, leaf_set.samples)
+        assert np.array_equal(run.sample_set.weights, leaf_set.weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.integers(1, 2), kernel=st.sampled_from(Kernel),
+       selection=st.sampled_from(NodeSelection), resample=st.booleans(),
+       n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_standard_leaf_set_is_the_stored_columns(dims, kernel, selection,
+                                                 resample, n, seed):
+    target = make_gmm5_target(np.random.default_rng(seed), dims)
+    tree = run_tp_ais(target, SamplerConfig(
+        dims=dims, n_samples=n, kernel=kernel, node_selection=selection,
+        resample_leaves=resample, seed=seed)).tree
+    leaves = tree.leaf_indices()
+    leaf_set = leaf_sample_set(tree, kernel, Weighting.STANDARD)
+    assert np.array_equal(leaf_set.samples, tree.sample[leaves])
+    assert np.array_equal(leaf_set.weights, tree.weight[leaves])
+
+
+def _spike(x):
+    return np.abs(x[:, 0] - 0.3) ** -0.95
+
+
+@pytest.mark.parametrize("n, seed, resample", [(300, 0, False),
+                                               (100, 4, True)])
+def test_leaf_sample_set_reads_the_stored_weights_of_deep_trees(n, seed,
+                                                                resample):
+    # the spike drives leaves past level 50, where a uniform draw can
+    # round onto its cell's upper face; its standard weight is still the
+    # one its own component gave it when it was drawn
+    tree = run_tp_ais(_spike, SamplerConfig(
+        dims=1, n_samples=n, resample_leaves=resample, seed=seed)).tree
+    leaves = tree.leaf_indices()
+    assert tree.level[leaves].max() > 50
+    leaf_set = leaf_sample_set(tree, Kernel.UNIFORM)
+    assert np.array_equal(leaf_set.samples, tree.sample[leaves])
+    assert np.array_equal(leaf_set.weights, tree.weight[leaves])
 
 
 def test_gaussian_kernel_run():
@@ -264,6 +304,15 @@ def test_config_validation():
         SamplerConfig(dims=1, n_samples=0)
     with pytest.raises(ValueError):
         SamplerConfig(dims=2, n_samples=4, bounds=DomainBounds.centered(1))
+    # counts are whole numbers, and booleans are not counts
+    for bad in (True, np.True_, 2.5, math.nan, math.inf, None):
+        with pytest.raises(ValueError, match="n_samples must be a whole"):
+            SamplerConfig(dims=1, n_samples=bad)
+    with pytest.raises(ValueError, match="dims must be a whole"):
+        SamplerConfig(dims=True, n_samples=4, bounds=DomainBounds.centered(1))
+    config = SamplerConfig(dims=2.0, n_samples=np.int64(8))
+    assert (config.dims, config.n_samples) == (2, 8)
+    assert type(config.dims) is type(config.n_samples) is int
 
 
 def test_weight_helpers():
