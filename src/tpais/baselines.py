@@ -8,16 +8,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .proposal import gaussian_kernel_sum
-from .sampler import WeightedSampleSet, _eval_target
+from .sampler import WeightedSampleSet, _count, _domain, _eval_target, _scale
 from .tree import DomainBounds
 
 
 @dataclass
 class MHConfig:
-    """Random-walk MH settings.
+    """Random-walk MH settings, validated as :class:`SamplerConfig` is.
 
-    ``initial_point=None`` draws uniform points over the domain until one
-    has positive target density (bounded retries).
+    ``dims``, ``n_samples`` and ``burn_in`` (which may be 0) are whole
+    numbers, ``proposal_std`` is positive and finite, and ``bounds``
+    defaults to ``[-1, 1]**dims``; each bad setting raises a ``ValueError``
+    naming its key. ``initial_point``, if given, is ``dims`` finite
+    coordinates inside ``bounds``; ``None`` draws uniform points over the
+    domain until one has positive target density (bounded retries).
     """
 
     dims: int
@@ -29,14 +33,20 @@ class MHConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bounds is None:
-            self.bounds = DomainBounds.centered(self.dims)
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.proposal_std <= 0.0:
-            raise ValueError("proposal_std must be positive")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
+        self.dims = _count("dims", self.dims)
+        self.bounds = _domain(self.dims, self.bounds)
+        self.n_samples = _count("n_samples", self.n_samples)
+        self.proposal_std = _scale("proposal_std", self.proposal_std)
+        self.burn_in = _count("burn_in", self.burn_in, least=0)
+        if self.initial_point is not None:
+            point = np.asarray(self.initial_point, dtype=float)
+            if point.shape != (self.dims,) or not np.isfinite(point).all():
+                raise ValueError(f"initial_point must be {self.dims} finite "
+                                 f"coordinates, got {self.initial_point!r}")
+            if (np.any(point < self.bounds.lower)
+                    or np.any(point > self.bounds.upper)):
+                raise ValueError("initial_point lies outside the domain")
+            self.initial_point = point
 
 
 def run_mh(target, config: MHConfig):
@@ -54,9 +64,7 @@ def run_mh(target, config: MHConfig):
     rng = np.random.default_rng(config.seed)
     bounds = config.bounds
     if config.initial_point is not None:
-        current = np.asarray(config.initial_point, dtype=float)
-        if np.any(current < bounds.lower) or np.any(current > bounds.upper):
-            raise ValueError("initial point lies outside the domain")
+        current = config.initial_point
         f_current = float(_eval_target(target, current[None, :])[0])
         if f_current <= 0.0:
             raise ValueError("initial point has zero target density")
@@ -94,6 +102,12 @@ class PMCConfig:
     A population of isotropic Gaussian proposals is iterated: draw one
     sample per proposal, importance-weight the draws, then multinomially
     resample the proposal locations from those weights.
+
+    Settings are validated as :class:`SamplerConfig`'s are: ``dims``,
+    ``population_size`` and ``iterations`` are whole numbers >= 1,
+    ``kernel_std`` is positive and finite, and ``bounds`` defaults to
+    ``[-1, 1]**dims``; each bad setting raises a ``ValueError`` naming its
+    key.
     """
 
     dims: int
@@ -105,14 +119,11 @@ class PMCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bounds is None:
-            self.bounds = DomainBounds.centered(self.dims)
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.kernel_std <= 0.0:
-            raise ValueError("kernel_std must be positive")
+        self.dims = _count("dims", self.dims)
+        self.bounds = _domain(self.dims, self.bounds)
+        self.population_size = _count("population_size", self.population_size)
+        self.iterations = _count("iterations", self.iterations)
+        self.kernel_std = _scale("kernel_std", self.kernel_std)
 
 
 def run_pmc(target, config: PMCConfig):

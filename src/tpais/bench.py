@@ -17,9 +17,9 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .baselines import MHConfig, PMCConfig, run_mh, run_pmc
-from .metrics import LN2, ess_mcmc, evidence_estimate, jsd, kde_fit, ness_is
+from .metrics import LN2, KDEModel, ess_mcmc, evidence_estimate, jsd, ness_is
 from .proposal import Kernel, TreeProposal
-from .sampler import (NodeSelection, SamplerConfig, _count,
+from .sampler import (NodeSelection, SamplerConfig, _count, _scale,
                       evidence_from_tree, leaf_sample_set, run_tp_ais)
 from .targets import (GaussianMixture, make_egg_target, make_gmm5_target,
                       make_normal_target)
@@ -72,15 +72,8 @@ class ExperimentSpec:
             if unknown:
                 raise ValueError(f"unknown {key}: {unknown}; "
                                  f"available: {available}")
-        try:
-            bandwidth = float(self.kde_bandwidth)
-        except (TypeError, ValueError):
-            bandwidth = math.nan
-        if (isinstance(self.kde_bandwidth, (bool, np.bool_))
-                or not 0.0 < bandwidth < math.inf):
-            raise ValueError("kde_bandwidth must be positive and finite, "
-                             f"got {self.kde_bandwidth!r}")
-        object.__setattr__(self, "kde_bandwidth", bandwidth)
+        object.__setattr__(self, "kde_bandwidth",
+                           _scale("kde_bandwidth", self.kde_bandwidth))
 
 
 @dataclass
@@ -152,7 +145,7 @@ def _mh_sample(target, dims, n, seed, spec):
 def _mh_report(state, target, spec):
     chain, _rate = state
     ness = ess_mcmc(chain) / chain.shape[0]
-    density = kde_fit(chain, spec.kde_bandwidth).density
+    density = KDEModel(chain, spec.kde_bandwidth).density
     return ness, math.nan, density
 
 

@@ -16,6 +16,7 @@ import sys
 from .bench import (METHODS, ExperimentSpec, FAMILIES, emit_csv,
                     run_experiments)
 from .plots import emit_plots
+from .sampler import _count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo points per JSD estimate")
     parser.add_argument("--kde-bandwidth", dest="kde_bandwidth",
                         help="KDE bandwidth for MCMC density estimates")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", default=1,
                         help="worker processes (default 1)")
     parser.add_argument("--out-dir", default="bench_out",
                         help="output directory (default bench_out)")
@@ -74,11 +75,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = spec_from_args(args)
+        workers = _count("workers", args.workers)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rows = run_experiments(spec, workers=args.workers)
+    rows = run_experiments(spec, workers=workers)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
     if args.format in ("csv", "both"):

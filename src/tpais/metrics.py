@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .proposal import gaussian_kernel_sum
-from .sampler import _eval_target
+from .sampler import _eval_target, _scale
 from .tree import DomainBounds, _as_batch
 
 LN2 = math.log(2.0)
@@ -143,17 +143,18 @@ def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
 
 @dataclass
 class KDEModel:
-    """Gaussian product-kernel density estimate with scalar bandwidth."""
+    """Gaussian product-kernel density estimate of ``points`` (n, K) with
+    one scalar ``bandwidth``, which must be positive and finite (a
+    ``ValueError`` naming ``bandwidth`` otherwise)."""
 
     points: np.ndarray
-    bandwidth: float
+    bandwidth: float = 0.05
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.points.ndim != 2 or 0 in self.points.shape:
             raise ValueError("KDE points must be a non-empty (n, K) array")
-        if not 0.0 < self.bandwidth < math.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        self.bandwidth = _scale("bandwidth", self.bandwidth)
 
     @property
     def dims(self) -> int:
@@ -161,11 +162,6 @@ class KDEModel:
 
     def density(self, x):
         return kde_density(self, x)
-
-
-def kde_fit(points, bandwidth: float = 0.05) -> KDEModel:
-    """Fit a kernel density estimate to ``points`` of shape (n, K)."""
-    return KDEModel(points, float(bandwidth))
 
 
 def kde_density(model: KDEModel, x):

@@ -49,6 +49,28 @@ def _count(key: str, value, least=1) -> int:
     raise ValueError(f"{key} must be a whole number{bound}, got {value!r}")
 
 
+def _scale(key: str, value) -> float:
+    """``value`` as a float; a ``ValueError`` naming ``key`` unless it is a
+    positive finite number or a string spelling one, and not a boolean."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < number < math.inf:
+        raise ValueError(f"{key} must be positive and finite, got {value!r}")
+    return number
+
+
+def _domain(dims: int, bounds) -> DomainBounds:
+    """``bounds``, or ``[-1, 1]**dims`` when None; a ``ValueError`` naming
+    ``bounds`` unless it has ``dims`` dimensions."""
+    if bounds is None:
+        return DomainBounds.centered(dims)
+    if bounds.dims != dims:
+        raise ValueError(f"bounds have {bounds.dims} dimensions, not {dims}")
+    return bounds
+
+
 @dataclass
 class SamplerConfig:
     """Configuration for :func:`run_tp_ais`.
@@ -69,10 +91,7 @@ class SamplerConfig:
     def __post_init__(self):
         self.dims = _count("dims", self.dims)
         self.n_samples = _count("n_samples", self.n_samples)
-        if self.bounds is None:
-            self.bounds = DomainBounds.centered(self.dims)
-        if self.bounds.dims != self.dims:
-            raise ValueError("bounds dimensionality does not match dims")
+        self.bounds = _domain(self.dims, self.bounds)
 
 
 @dataclass

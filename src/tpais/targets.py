@@ -28,8 +28,9 @@ class GaussianMixture:
     Parameters
     ----------
     means : ndarray, shape (m, K)
+        Component centres; must be finite.
     variances : ndarray, shape (m, K)
-        Diagonal covariance entries per component.
+        Diagonal covariance entries per component, finite and positive.
     weights : ndarray, shape (m,)
         Component probabilities; must sum to 1.
     """
@@ -46,8 +47,10 @@ class GaussianMixture:
             raise ValueError("means and variances must have matching shapes")
         if self.weights.shape != (self.means.shape[0],):
             raise ValueError("one weight per component required")
-        if np.any(self.variances <= 0.0):
-            raise ValueError("variances must be positive")
+        if not np.isfinite(self.means).all():
+            raise ValueError("means must be finite")
+        if not np.all((self.variances > 0.0) & (self.variances < math.inf)):
+            raise ValueError("variances must be positive and finite")
         if np.any(self.weights < 0.0) or not math.isclose(
                 self.weights.sum(), 1.0, rel_tol=1e-9):
             raise ValueError("weights must be non-negative and sum to 1")

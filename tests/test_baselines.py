@@ -60,6 +60,13 @@ def test_mh_initial_point_validation():
     zero = lambda x: np.zeros(np.atleast_2d(x).shape[0])
     with pytest.raises(RuntimeError):
         run_mh(zero, MHConfig(dims=1, n_samples=10, seed=3))
+    # the point is parsed with the config: dims finite coordinates in bounds
+    for bad in ([0.0], [[0.0, 0.0]], [0.0, math.nan], [2.0, 0.0]):
+        with pytest.raises(ValueError, match="initial_point"):
+            MHConfig(dims=2, n_samples=10, initial_point=np.array(bad))
+    config = MHConfig(dims=2, n_samples=10, initial_point=[0, 0.5])
+    assert config.initial_point.dtype == float
+    np.testing.assert_array_equal(config.initial_point, [0.0, 0.5])
 
 
 def test_mh_auto_start_finds_needle():
@@ -92,6 +99,23 @@ def test_mh_config_validation():
         MHConfig(dims=1, n_samples=10, proposal_std=0.0)
     with pytest.raises(ValueError):
         MHConfig(dims=1, n_samples=10, burn_in=-1)
+    # counts are whole numbers, booleans are not counts, and a scale is
+    # positive and finite: the rules SamplerConfig keeps
+    for key, bad in (("n_samples", True), ("n_samples", 2.5),
+                     ("n_samples", math.nan), ("n_samples", math.inf),
+                     ("burn_in", 0.5), ("burn_in", True), ("dims", True),
+                     ("proposal_std", math.nan), ("proposal_std", math.inf),
+                     ("proposal_std", True)):
+        with pytest.raises(ValueError, match=key):
+            MHConfig(**{"dims": 1, "n_samples": 10, key: bad})
+    with pytest.raises(ValueError, match="bounds"):
+        MHConfig(dims=2, n_samples=10, bounds=DomainBounds.centered(1))
+    config = MHConfig(dims=2.0, n_samples=np.int64(8), burn_in="3",
+                      proposal_std=np.float32(0.5))
+    assert (config.dims, config.n_samples, config.burn_in) == (2, 8, 3)
+    assert config.proposal_std == 0.5 and config.bounds.dims == 2
+    assert type(config.dims) is type(config.n_samples) is int
+    assert type(config.burn_in) is int and type(config.proposal_std) is float
 
 
 def test_pmc_shapes_and_weights():
@@ -149,6 +173,24 @@ def test_pmc_determinism_and_config_validation():
         PMCConfig(dims=1, population_size=1, iterations=0)
     with pytest.raises(ValueError):
         PMCConfig(dims=1, population_size=1, iterations=1, kernel_std=-0.1)
+    for key, bad in (("population_size", True), ("population_size", 2.5),
+                     ("population_size", math.nan), ("iterations", 2.5),
+                     ("iterations", math.inf), ("iterations", True),
+                     ("dims", True), ("kernel_std", math.nan),
+                     ("kernel_std", math.inf), ("kernel_std", True)):
+        with pytest.raises(ValueError, match=key):
+            PMCConfig(**{"dims": 1, "population_size": 4, "iterations": 2,
+                         key: bad})
+    with pytest.raises(ValueError, match="bounds"):
+        PMCConfig(dims=1, population_size=4, iterations=2,
+                  bounds=DomainBounds.centered(2))
+    config = PMCConfig(dims=2.0, population_size=np.int64(4),
+                       iterations="3", kernel_std=np.float32(0.25))
+    assert config.population_size == 4 and config.iterations == 3
+    assert config.dims == config.bounds.dims == 2
+    assert config.kernel_std == 0.25
+    assert type(config.dims) is type(config.population_size) is int
+    assert type(config.iterations) is int and type(config.kernel_std) is float
 
 
 def test_pmc_custom_bounds():

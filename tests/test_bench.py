@@ -308,6 +308,17 @@ def test_cli_rejects_a_repeated_list_entry(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # nothing was run
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_a_worker_count_below_one(tmp_path, capsys, workers):
+    # a tiny matrix, so that a count that slips through runs quickly
+    assert main(["--workers", workers, "--methods", "tpais-nr",
+                 "--families", "normal", "--dims", "1", "--n-grid", "16",
+                 "--trials", "1", "--jsd-points", "100",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "workers must be a whole number >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # nothing was run
+
+
 def test_cli_rejects_zero_kde_bandwidth(tmp_path, capsys):
     for text in ("0", "wide"):
         assert main(["--kde-bandwidth", text, "--out-dir", str(tmp_path)]) == 2

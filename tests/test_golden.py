@@ -39,7 +39,7 @@ import pytest
 
 from tpais.baselines import PMCConfig, run_pmc
 from tpais.bench import ExperimentSpec, derive_seed, run_single
-from tpais.metrics import kde_fit
+from tpais.metrics import KDEModel
 from tpais.proposal import Kernel
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
                            evidence_from_tree, leaf_sample_set, run_tp_ais)
@@ -171,7 +171,7 @@ KDE_GOLDEN = {
 def test_golden_kde_density(dims):
     # 1000 model points give blocks of 4194 rows, so 5000 queries span two
     rng = np.random.default_rng(derive_seed(5150, "kde", dims))
-    model = kde_fit(rng.normal(0.0, 0.4, size=(1000, dims)), bandwidth=0.07)
+    model = KDEModel(rng.normal(0.0, 0.4, size=(1000, dims)), bandwidth=0.07)
     query = rng.uniform(-1.0, 1.0, size=(5000, dims))
     assert _digest(model.density(query).tobytes()) == KDE_GOLDEN[dims]
 

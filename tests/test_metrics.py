@@ -11,7 +11,7 @@ from tpais import proposal
 from tpais.baselines import PMCConfig, run_pmc
 from tpais.metrics import (LN2, KDEModel, ess_is, ess_mcmc, evidence_estimate,
                            evidence_mse, expectation_estimate, jsd,
-                           kde_density, kde_fit, kl_mc, ness_is,
+                           kde_density, kl_mc, ness_is,
                            normalized_weights)
 from tpais.proposal import Kernel, TreeProposal
 from tpais.targets import GaussianMixture, make_gmm5_target
@@ -201,10 +201,10 @@ def test_divergences_enforce_density_contract(divergence):
 
 
 def test_kde_single_point_peak():
-    model = kde_fit(np.array([[0.0]]), bandwidth=1.0)
+    model = KDEModel(np.array([[0.0]]), bandwidth=1.0)
     assert abs(model.density(np.array([0.0]))
                - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-15
-    narrow = kde_fit(np.array([[0.3]]), bandwidth=0.05)
+    narrow = KDEModel(np.array([[0.3]]), bandwidth=0.05)
     peak = narrow.density(np.array([0.3]))
     assert abs(peak - 1.0 / (0.05 * math.sqrt(2.0 * math.pi))) < 1e-10
 
@@ -212,17 +212,17 @@ def test_kde_single_point_peak():
 def test_kde_normalization():
     rng = np.random.default_rng(17)
     pts = rng.uniform(-1, 1, size=(100, 1))
-    model = kde_fit(pts, bandwidth=0.05)
+    model = KDEModel(pts, bandwidth=0.05)
     grid = np.linspace(-1.5, 1.5, 300_001)
     assert abs(np.trapezoid(model.density(grid[:, None]), grid) - 1.0) < 1e-6
 
 
 def test_kde_symmetry_and_translation():
-    model = kde_fit(np.array([[-0.4], [0.4]]), bandwidth=0.2)
+    model = KDEModel(np.array([[-0.4], [0.4]]), bandwidth=0.2)
     xs = np.linspace(0.0, 1.0, 11)
     np.testing.assert_allclose(model.density(xs[:, None]),
                                model.density(-xs[:, None]), rtol=1e-12)
-    shifted = kde_fit(np.array([[-0.1], [0.7]]), bandwidth=0.2)
+    shifted = KDEModel(np.array([[-0.1], [0.7]]), bandwidth=0.2)
     np.testing.assert_allclose(model.density(np.array([0.05])),
                                shifted.density(np.array([0.35])), rtol=1e-12)
 
@@ -230,7 +230,7 @@ def test_kde_symmetry_and_translation():
 def test_kde_batch_chunking_consistent(monkeypatch):
     rng = np.random.default_rng(23)
     pts = rng.standard_normal((500, 2))
-    model = kde_fit(pts, bandwidth=0.3)
+    model = KDEModel(pts, bandwidth=0.3)
     query = rng.standard_normal((1000, 2))
     batch = model.density(query)
     singles = np.array([model.density(q) for q in query])
@@ -258,16 +258,21 @@ def test_kde_batch_chunking_consistent(monkeypatch):
 
 
 def test_kde_validation():
-    with pytest.raises(ValueError):
-        KDEModel(np.zeros((2, 1)), 0.0)
-    with pytest.raises(ValueError):
-        KDEModel(np.zeros((2, 1)), math.nan)
-    model = kde_fit(np.zeros((2, 3)))
+    # the bandwidth is a scale: a positive finite number, not a boolean
+    for bad in (0.0, math.nan, True, np.True_, "wide", None):
+        with pytest.raises(ValueError, match="bandwidth"):
+            KDEModel(np.zeros((2, 1)), bad)
+    for given in ("0.1", np.float32(0.25), 2):
+        model = KDEModel(np.zeros((2, 1)), given)
+        assert model.bandwidth == float(given)
+        assert type(model.bandwidth) is float
+    model = KDEModel(np.zeros((2, 3)))
+    assert model.bandwidth == 0.05
     with pytest.raises(ValueError):
         model.density(np.zeros(2))
     for empty in (np.empty((0, 1)), np.empty((0, 2)), []):
         with pytest.raises(ValueError, match="non-empty"):
-            kde_fit(empty)
+            KDEModel(empty)
 
 
 def test_evidence_estimate_and_mse():

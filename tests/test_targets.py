@@ -80,6 +80,14 @@ def test_mixture_validation():
         GaussianMixture([[0.0]], [[0.0]], [1.0])  # variance must be positive
     with pytest.raises(ValueError):
         GaussianMixture([[0.0]], [[1.0, 1.0]], [1.0])  # shape mismatch
+    # a NaN parameter would make the density NaN, and an infinite variance
+    # would make it zero everywhere
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="means must be finite"):
+            GaussianMixture([[0.0, bad]], [[1.0, 1.0]], [1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="variances must be positive"):
+            GaussianMixture([[0.0, 0.0]], [[1.0, bad]], [1.0])
 
 
 def test_normal_target_parameter_ranges():
