@@ -8,20 +8,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .proposal import gaussian_kernel_sum
-from .sampler import WeightedSampleSet, _count, _domain, _eval_target, _scale
-from .tree import DomainBounds
+from .sampler import WeightedSampleSet, _domain, _eval_target, _scale
+from .tree import DomainBounds, _count
 
 
 @dataclass
 class MHConfig:
     """Random-walk MH settings, validated as :class:`SamplerConfig` is.
 
-    ``dims``, ``n_samples`` and ``burn_in`` (which may be 0) are whole
-    numbers, ``proposal_std`` is positive and finite, and ``bounds``
-    defaults to ``[-1, 1]**dims``; each bad setting raises a ``ValueError``
-    naming its key. ``initial_point``, if given, is ``dims`` finite
-    coordinates inside ``bounds``; ``None`` draws uniform points over the
-    domain until one has positive target density (bounded retries).
+    ``dims``, ``n_samples``, ``burn_in`` and ``seed`` (the last two may be
+    0) are whole numbers, ``proposal_std`` is positive and finite, and
+    ``bounds`` defaults to ``[-1, 1]**dims``; each bad setting raises a
+    ``ValueError`` naming its key. ``initial_point``, if given, is ``dims``
+    finite coordinates inside ``bounds``; ``None`` draws uniform points over
+    the domain until one has positive target density (bounded retries).
     """
 
     dims: int
@@ -38,6 +38,7 @@ class MHConfig:
         self.n_samples = _count("n_samples", self.n_samples)
         self.proposal_std = _scale("proposal_std", self.proposal_std)
         self.burn_in = _count("burn_in", self.burn_in, least=0)
+        self.seed = _count("seed", self.seed, least=0)
         if self.initial_point is not None:
             point = np.asarray(self.initial_point, dtype=float)
             if point.shape != (self.dims,) or not np.isfinite(point).all():
@@ -104,10 +105,10 @@ class PMCConfig:
     resample the proposal locations from those weights.
 
     Settings are validated as :class:`SamplerConfig`'s are: ``dims``,
-    ``population_size`` and ``iterations`` are whole numbers >= 1,
-    ``kernel_std`` is positive and finite, and ``bounds`` defaults to
-    ``[-1, 1]**dims``; each bad setting raises a ``ValueError`` naming its
-    key.
+    ``population_size`` and ``iterations`` are whole numbers >= 1, ``seed``
+    is one >= 0, ``kernel_std`` is positive and finite, and ``bounds``
+    defaults to ``[-1, 1]**dims``; each bad setting raises a ``ValueError``
+    naming its key.
     """
 
     dims: int
@@ -124,6 +125,7 @@ class PMCConfig:
         self.population_size = _count("population_size", self.population_size)
         self.iterations = _count("iterations", self.iterations)
         self.kernel_std = _scale("kernel_std", self.kernel_std)
+        self.seed = _count("seed", self.seed, least=0)
 
 
 def run_pmc(target, config: PMCConfig):
@@ -157,7 +159,7 @@ def run_pmc(target, config: PMCConfig):
         values = _eval_target(target, samples)
         if config.dm_weights:
             q = gaussian_kernel_sum(samples, locs, config.kernel_std,
-                                    lambda k: (k / norm).mean(axis=1))
+                                    1.0 / (norm * pop))
         else:
             z2 = np.sum(((samples - locs) / config.kernel_std) ** 2, axis=1)
             q = np.exp(-0.5 * z2) / norm

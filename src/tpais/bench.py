@@ -19,10 +19,11 @@ import numpy as np
 from .baselines import MHConfig, PMCConfig, run_mh, run_pmc
 from .metrics import LN2, KDEModel, ess_mcmc, evidence_estimate, jsd, ness_is
 from .proposal import Kernel, TreeProposal
-from .sampler import (NodeSelection, SamplerConfig, _count, _scale,
+from .sampler import (NodeSelection, SamplerConfig, _scale,
                       evidence_from_tree, leaf_sample_set, run_tp_ais)
 from .targets import (GaussianMixture, make_egg_target, make_gmm5_target,
                       make_normal_target)
+from .tree import _count
 
 DEFAULT_SAMPLE_COUNTS = (16, 32, 64, 128, 256, 512, 1024)
 CSV_COLUMNS = ("method", "family", "dims", "N", "trial", "seed", "ness",

@@ -16,7 +16,7 @@ import sys
 from .bench import (METHODS, ExperimentSpec, FAMILIES, emit_csv,
                     run_experiments)
 from .plots import emit_plots
-from .sampler import _count
+from .tree import _count
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -169,8 +169,7 @@ def kde_density(model: KDEModel, x):
     pts, single = _as_batch(x, model.dims)
     h = model.bandwidth
     norm = model.points.shape[0] * (h * math.sqrt(2.0 * math.pi)) ** model.dims
-    out = gaussian_kernel_sum(pts, model.points, h,
-                              lambda k: k.sum(axis=1) / norm)
+    out = gaussian_kernel_sum(pts, model.points, h, 1.0 / norm)
     return float(out[0]) if single else out
 
 

@@ -4,6 +4,17 @@ Each leaf contributes one component centered on its cell: either a uniform
 density over the cell or an untruncated isotropic Gaussian whose standard
 deviation equals the cell radius. The proposal density is the arithmetic
 mean of the component densities over all current leaves.
+
+The Gaussian mixture, the KDE of ``metrics`` and the deterministic-mixture
+weights of ``baselines.run_pmc`` are one weighted kernel sum,
+``gaussian_kernel_sum``: each caller passes its normalization as per-center
+weights. ``exp(-0.5 * z**2)`` is exactly 0.0 in float64 once ``z**2``
+exceeds about 1490, so the sum takes large batches in spatially sorted
+tiles and skips, per tile, every center too far from all of the tile's
+points to give a nonzero term (the exact-zero case of the fast Gauss
+transform and of dual-tree kernel sums). Each point's terms are added in
+center order, so skipping zeros changes no bit, and a point's value does
+not depend on the batch or tile it is taken in.
 """
 
 from __future__ import annotations
@@ -23,40 +34,84 @@ class Kernel(enum.Enum):
     GAUSSIAN = "gaussian"
 
 
-_BLOCK_PAIRS = 1 << 22  # cap on point-component pairs per block
+# exp(-0.5 * z2) is exactly 0.0 in float64 once z2 > 1490.3; the margin
+# covers rounding in the bound below
+_ZERO_Z2 = 1600.0
+_TILE_POINTS = 64       # query points per tile
+_TILE_FLOATS = 1 << 22  # cap on center-point pairs per tile
 
 
-def _row_blocks(n: int, m: int):
-    """Slices over ``n`` point rows, each of at least one row and otherwise
-    of at most ``_BLOCK_PAIRS`` pairs of a point and one of ``m`` columns."""
-    step = max(1, _BLOCK_PAIRS // m)
-    return (slice(start, start + step) for start in range(0, n, step))
+def _tiles(points: np.ndarray, size: int):
+    """Row indices of ``points`` in consecutive tiles of at most ``size``,
+    sorted by the cell of a grid over their bounding box with about
+    ``size`` points per cell, so that each tile's points lie together."""
+    n, dims = points.shape
+    lo = points.min(axis=0)
+    span = points.max(axis=0) - lo
+    cells = max(1, round((n / size) ** (1.0 / dims)))
+    per_unit = np.divide(cells, span, out=np.zeros(dims), where=span > 0.0)
+    with np.errstate(invalid="ignore"):  # a non-finite point sorts anywhere
+        order = np.lexsort(np.floor((points - lo) * per_unit).T)
+    return [order[start:start + size] for start in range(0, n, size)]
 
 
-def gaussian_kernel_sum(points, centers, scale, reduce):
-    """Isotropic Gaussian kernels of every point against every center.
+def _tile_sum(x, centers, scale, weights):
+    """``sum_j w_j * exp(-0.5 * z_j**2)`` at each point of ``x`` (t, K),
+    with the terms added one center at a time in center order."""
+    if x.shape[0] == 1:  # NumPy sums one column pairwise, two row by row
+        return _tile_sum(np.repeat(x, 2, axis=0), centers, scale, weights)[:1]
+    z2 = None
+    for c, xd in zip(centers.T, x.T):
+        z = c[:, None] - xd
+        z /= scale[:, None]
+        z *= z
+        if z2 is None:
+            z2 = z
+        else:
+            z2 += z
+    z2 *= -0.5
+    k = np.exp(z2, out=z2)
+    k *= weights[:, None]
+    return k.sum(axis=0)  # a (centers, points) block, summed row by row
 
-    ``points`` has shape (n, K), ``centers`` (m, K), and ``scale`` is a
-    scalar or one value per center. Points are taken in blocks of at most
-    ``_BLOCK_PAIRS`` point-center pairs; for each block the kernel matrix
-    ``exp(-0.5 * sum_d ((x_d - c_d) / s)**2)`` is formed, summing the
-    squares in dimension order, and ``reduce`` maps it to one value per
-    block row. Returns the (n,) concatenation of those values.
+
+def _within_reach(x, centers, scale):
+    """Indices of the centers whose kernel may be nonzero at some point of
+    the bounding box of ``x``: those whose scaled distance to the box is
+    at most ``sqrt(_ZERO_Z2)``, or NaN."""
+    gap = np.maximum(x.min(axis=0) - centers, centers - x.max(axis=0))
+    np.maximum(gap, 0.0, out=gap)
+    gap /= scale[:, None]
+    return np.flatnonzero(~(np.square(gap, out=gap).sum(axis=1) > _ZERO_Z2))
+
+
+def gaussian_kernel_sum(points, centers, scale, weights):
+    """Weighted isotropic Gaussian kernels ``sum_j w_j * exp(-0.5 * z_j**2)``
+    at each point, where ``z_j = |x - c_j| / s_j``.
+
+    ``points`` has shape (n, K), ``centers`` (m, K), and ``scale`` and
+    ``weights`` are scalars or one value per center. Returns shape (n,).
+    Each point's terms are added one center at a time in center order,
+    over a centers × points block with ``z**2`` summed in dimension order.
+    A batch that fits one tile of ``_TILE_POINTS`` points and
+    ``_TILE_FLOATS`` center-point pairs is one block. A larger one is
+    taken in spatially sorted tiles, and each tile skips every center
+    whose scaled distance to the tile's bounding box exceeds
+    ``sqrt(_ZERO_Z2)``: its kernel is exactly 0.0 at each of the tile's
+    points, and adding 0.0 would not change the sum. So a point's value
+    is the same bits in any batch or tile.
     """
-    cols = np.ascontiguousarray(centers.T)
+    m = centers.shape[0]
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), (m,))
+    size = max(1, min(_TILE_POINTS, _TILE_FLOATS // max(m, 1)))
+    if points.shape[0] <= size:
+        return _tile_sum(points, centers, scale, weights)
     out = np.empty(points.shape[0])
-    for rows in _row_blocks(points.shape[0], cols.shape[1]):
-        z2 = None
-        for x, col in zip(points[rows].T, cols):
-            z = x[:, None] - col
-            z /= scale
-            z *= z
-            if z2 is None:
-                z2 = z
-            else:
-                z2 += z
-        z2 *= -0.5
-        out[rows] = reduce(np.exp(z2, out=z2))
+    for rows in _tiles(points, size):
+        x = points[rows]
+        near = _within_reach(x, centers, scale)
+        out[rows] = _tile_sum(x, centers[near], scale[near], weights[near])
     return out
 
 
@@ -114,7 +169,7 @@ class TreeProposal:
             comp = 1.0 / (len(nodes)
                           * (radii * math.sqrt(2.0 * math.pi)) ** tree.dims)
             acc = gaussian_kernel_sum(pts, tree.center.take(nodes, axis=0),
-                                      radii, lambda k: k @ comp)
+                                      radii, comp)
         return float(acc[0]) if single else acc
 
 

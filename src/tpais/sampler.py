@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .proposal import Kernel, TreeProposal, mixture_weights, sample_mixture
-from .tree import DomainBounds, TreePyramid
+from .tree import DomainBounds, TreePyramid, _count
 
 
 class Weighting(enum.Enum):
@@ -31,22 +31,6 @@ class NodeSelection(enum.Enum):
 
     MAX_EVIDENCE = "max_evidence"    # argmax of target_value * radius**K
     MIXTURE_DRAW = "mixture_draw"    # categorical draw over leaf weights
-
-
-def _count(key: str, value, least=1) -> int:
-    """``value`` as an int; a ``ValueError`` naming ``key`` unless it is a
-    whole number >= ``least`` (if not None) or a string spelling one.
-    Booleans are not counts."""
-    try:
-        number = int(value)
-        if (not isinstance(value, (bool, np.bool_))
-                and (isinstance(value, str) or number == value)
-                and (least is None or number >= least)):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    bound = "" if least is None else f" >= {least}"
-    raise ValueError(f"{key} must be a whole number{bound}, got {value!r}")
 
 
 def _scale(key: str, value) -> float:
@@ -77,6 +61,8 @@ class SamplerConfig:
 
     ``n_samples`` is the size the returned sample set must reach; the final
     refinement step may overshoot it by at most ``2**dims - 1`` samples.
+    ``dims`` and ``n_samples`` are whole numbers >= 1 and ``seed`` one >= 0;
+    a bad setting raises a ``ValueError`` naming its key.
     """
 
     dims: int
@@ -92,6 +78,7 @@ class SamplerConfig:
         self.dims = _count("dims", self.dims)
         self.n_samples = _count("n_samples", self.n_samples)
         self.bounds = _domain(self.dims, self.bounds)
+        self.seed = _count("seed", self.seed, least=0)
 
 
 @dataclass
@@ -189,7 +176,11 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         points, q = proposal.draw(rows, rng)
         values = _eval_target(target, points)
         tree.weight[rows] = _weights(values, q)
-        tree.sample[rows] = points
+        if isinstance(rows, slice):
+            tree.sample[rows] = points
+        else:  # one column at a time: 2-D fancy assignment is slower
+            for d in range(dims):
+                tree.sample[rows, d] = points[:, d]
         tree.target_value[rows] = values
         return values
 

@@ -14,11 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .proposal import _row_blocks
 from .tree import DomainBounds, _as_batch
 
 EGG_MODE_COORDS = (-0.6, -0.2, 0.2, 0.6)
 EGG_MAX_DIMS = 7
+_BLOCK_PAIRS = 1 << 22  # cap on point-component pairs per block
+
+
+def _row_blocks(n: int, m: int):
+    """Slices over ``n`` point rows, each of at least one row and otherwise
+    of at most ``_BLOCK_PAIRS`` pairs of a point and one of ``m`` columns."""
+    step = max(1, _BLOCK_PAIRS // m)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 @dataclass

@@ -40,6 +40,22 @@ def _as_batch(x, dims: int):
     return x, False
 
 
+def _count(key: str, value, least=1) -> int:
+    """``value`` as an int; a ``ValueError`` naming ``key`` unless it is a
+    whole number >= ``least`` (if not None) or a string spelling one.
+    Booleans are not counts."""
+    try:
+        number = int(value)
+        if (not isinstance(value, (bool, np.bool_))
+                and (isinstance(value, str) or number == value)
+                and (least is None or number >= least)):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise ValueError(f"{key} must be a whole number{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DomainBounds:
     """Axis-aligned hypercube domain ``[lower_d, upper_d]`` for each dimension.
@@ -70,8 +86,7 @@ class DomainBounds:
     @classmethod
     def centered(cls, dims: int, half_width: float = 1.0) -> "DomainBounds":
         """Symmetric domain ``[-half_width, half_width]**dims``."""
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
+        dims = _count("dims", dims)
         return cls(np.full(dims, -half_width), np.full(dims, half_width))
 
     @property

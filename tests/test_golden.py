@@ -25,11 +25,23 @@ so only the last bits of those weights moved (at most 4e-14 relative),
 and with them the N-ESS of the rows. Every other part of those digests
 kept its value.
 
-The density cases pin the other users of the blocked Gaussian kernel sum:
-KDE densities over more query points than one block holds, DM-PMC draws,
+The density cases pin the other users of the Gaussian kernel sum: KDE
+densities over more query points than one tile holds, DM-PMC draws,
 weights and final locations, and the N-ESS, JSD and evidence error of
 benchmark rows. They were recorded before the three densities shared one
 kernel sum.
+
+Fourteen digests were re-recorded when that sum became one weighted sum
+added in center order over pruned tiles: the six Gaussian sampler cases
+("-gauss-"), the three KDE densities, the three DM-PMC runs and the two
+"pmc-dm" benchmark rows. Each caller's normalization became a weight
+inside the sum, and each point's terms are now added one center at a
+time, where the mixture took a BLAS matrix-vector product, the KDE a
+pairwise row sum and DM-PMC a mean. Every kernel value kept its bits;
+the sums moved in their last bits only: at most 1.0e-15 relative in the
+Gaussian sampler cases (DM weights and evidence; samples and trees kept
+their bits), 2.9e-15 in the KDE densities, 1.4e-15 in the DM-PMC weights
+(samples and locations kept their bits) and 2.0e-16 in the rows.
 """
 
 import hashlib
@@ -82,9 +94,9 @@ GOLDEN = {
     "1d-dm-max":
         "0f390fb49f049863a97dfefc19e02825f50160578bf9ea2c11b9949337d0b319",
     "1d-gauss-std-max":
-        "e91bd9d3b387f76874ce0a196fa7e62550074c85aa4699d817df9af5c78bdab5",
+        "ce7c5c5374a678af029771f1b50f34e88b2ea4d022d49027ae81e011e43118c1",
     "1d-gauss-std-max-resample":
-        "b2d01cd302f22ba50d21dc3a8af4abfbbd909efa9e0d07d00b26c2074df96afc",
+        "04912999c190da80280db7a30db1ef7104dedae21a036265f1ca7551b074d672",
     "1d-std-max":
         "5930debdc289b86e2d325eac5626de3177a505aed21e9f988b74d6b985b317ab",
     "1d-std-max-resample":
@@ -96,13 +108,13 @@ GOLDEN = {
     "2d-dm-mix-resample":
         "103d83fb5857bc1476ab1bc458fd65a03dff74e2dd5f0d2d117101e9c6fa4809",
     "2d-gauss-dm-max":
-        "aad6101750affd81176947b01733c254e616ba7ebc39a477b0313718441c836c",
+        "9beb58f51db9a1bb852582e44808bf09ff7792843ad0c4bfdcf134aac2f55735",
     "2d-gauss-dm-mix-wide":
-        "11ffe3f9279ab298c7358e6201bf9146db916c931cae82aca73beaa8aa68e275",
+        "95c078c9025ae8fa5c82996e245c4e72ecf1b7be3b04486cf125a941a7383827",
     "2d-gauss-std-max":
-        "05cf7f70a6a72b82d2db56109d70098de628ca409af1356112b4dd481d79d005",
+        "a3b30f8075395942698d688396fc8c4554cbd94fc86e641885698d4cfbc88ad2",
     "2d-gauss-std-mix":
-        "53ce832dd26373f27d86b38372490f0d138eb47d7e765889862ee6b9dd02a62c",
+        "d3c22c9d899ccd666d08a31aca46e456ef1d8d963655a944afcb6a115b8d1f14",
     "2d-std-max":
         "336c5220f3c4b3b44571077804ffb0977ebc719abbed3714c1b7acfe8e7353ee",
     "2d-std-max-resample":
@@ -159,17 +171,17 @@ def test_golden_digest(name):
 
 KDE_GOLDEN = {
     1:
-        "d2350e957003dd9e0addc1ce7c476a119de49d1c0b6facb4b046c253db404e91",
+        "b2427722edbf71534800d9b6d4b884b11d8ada3d0d5df577e71d22cda51aeec3",
     2:
-        "92e106c83fcf4af0a574bcccc1966cc4b5bc94688e8091c899abead78dfc7234",
+        "56002225d2a45e824af04012d53c9e3d1908e3ec044aabec53d5394dbe035033",
     3:
-        "0649a1e90e3aa4c7d2d0343b61701c061d04cb5b6bafef03ec4988b3a6489074",
+        "c2ff5d159893a7717ac22f1ad1cb207f266c95224afdd7bc0a6c9833ae6a90ec",
 }
 
 
 @pytest.mark.parametrize("dims", sorted(KDE_GOLDEN))
 def test_golden_kde_density(dims):
-    # 1000 model points give blocks of 4194 rows, so 5000 queries span two
+    # 5000 queries span 79 tiles of 64 points against 1000 model points
     rng = np.random.default_rng(derive_seed(5150, "kde", dims))
     model = KDEModel(rng.normal(0.0, 0.4, size=(1000, dims)), bandwidth=0.07)
     query = rng.uniform(-1.0, 1.0, size=(5000, dims))
@@ -178,11 +190,11 @@ def test_golden_kde_density(dims):
 
 PMC_DM_GOLDEN = {
     1:
-        "41402c4d1073442efbc8c5af2726f386c983d3a147d94f36dcc08f50e96ae3f5",
+        "6b0140a409a67673cbf7b4101470903a2b8ecf89fdaee7c1b11b5d015178167f",
     2:
-        "ad486e15ec712537b9ac4b913e34a7aeef8e2cf9d22e9ecaed17ae979521a726",
+        "6da81ac63b518a4b9eec8b5311636d342dfb972d9b85e1ebb490d3c9f7c40355",
     3:
-        "09b160af125ff9cdaad319f2b0fe60b4a1a78f8044ec23cd98d611740c2b5dbd",
+        "46579359c31809d72f2a0e23ee311870a0630e8fb185af6a02c8a6422b64c26f",
 }
 
 
@@ -203,9 +215,9 @@ ROW_GOLDEN = {
     ("mh", 2):
         "ced116981726a430122d932a8614611315c12b55bc34bfd2f757756e5b224e60",
     ("pmc-dm", 1):
-        "2f19b5d4ab14a14087a4b6817eebf4a2b425e926f77496efacd0169b79d0d795",
+        "26da8e7f62df4c56f97114652198b091f8751b602a6a51b792cd14af68d2b2b5",
     ("pmc-dm", 2):
-        "9e97d7151e7daa673681bf8d89806d5d85540b281bbc77980582fcb341f46bd2",
+        "b6f7e529d131bdc38d5ddd4e1a274b28fcebcc4770ddf69390bb5ed93674df44",
     ("tpais-gauss", 1):
         "920087953fa8b35ab872bc4adbf0862df469dead76423f066fe0bd88d2e6bc12",
     ("tpais-gauss", 2):

@@ -234,27 +234,25 @@ def test_kde_batch_chunking_consistent(monkeypatch):
     query = rng.standard_normal((1000, 2))
     batch = model.density(query)
     singles = np.array([model.density(q) for q in query])
-    np.testing.assert_allclose(batch, singles, rtol=1e-12)
+    np.testing.assert_array_equal(batch, singles)
     assert kde_density(model, query[0]) == model.density(query[0])
 
-    # every user of the shared kernel sum, in one block and then in many:
-    # 3500 pairs give blocks of 7 query rows (1000 % 7 != 0), 54 PMC
-    # samples (64 % 54 != 0) and 3500 // L mixture points
+    # every user of the shared kernel sum, in default tiles and then in
+    # small ones: 3500 pairs give tiles of 7 query points (1000 % 7 != 0),
+    # 54 PMC samples (64 % 54 != 0) and 3500 // L mixture points
     target = make_gmm5_target(np.random.default_rng(24), 2)
     pmc = PMCConfig(dims=2, population_size=64, iterations=3, dm_weights=True,
                     seed=25)
     tree = grow_random_tree(2, 60, np.random.default_rng(26))
     mixture = TreeProposal(tree, Kernel.GAUSSIAN)
-    one_block = (model.density(query), run_pmc(target, pmc)[0].weights,
-                 mixture.density(query))
-    monkeypatch.setattr(proposal, "_BLOCK_PAIRS", 3500)
+    default_tiles = (model.density(query), run_pmc(target, pmc)[0].weights,
+                     mixture.density(query))
+    monkeypatch.setattr(proposal, "_TILE_FLOATS", 3500)
     assert 1000 % (3500 // len(tree.leaves())) != 0
-    np.testing.assert_array_equal(model.density(query), one_block[0])
+    np.testing.assert_array_equal(model.density(query), default_tiles[0])
     np.testing.assert_array_equal(run_pmc(target, pmc)[0].weights,
-                                  one_block[1])
-    # k @ comp groups its sums by block row count, so only nearly equal
-    np.testing.assert_allclose(mixture.density(query), one_block[2],
-                               rtol=1e-12)
+                                  default_tiles[1])
+    np.testing.assert_array_equal(mixture.density(query), default_tiles[2])
 
 
 def test_kde_validation():

@@ -1,15 +1,21 @@
-"""Proposal mixture tests: component densities, normalization, mixture draws."""
+"""Proposal mixture tests: component densities, normalization, mixture
+draws, and the pruned Gaussian kernel sum."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (component_density, dyadic_midpoint_grid,
                       grow_random_tree)
+from tpais import proposal
 from tpais.bench import derive_seed
-from tpais.proposal import (Kernel, TreeProposal, mixture_weights,
-                            sample_mixture)
+from tpais.proposal import (Kernel, TreeProposal, gaussian_kernel_sum,
+                            mixture_weights, sample_mixture)
 from tpais.sampler import SamplerConfig, run_tp_ais
 from tpais.targets import make_gmm5_target
 from tpais.tree import DomainBounds, Node, TreePyramid
@@ -308,3 +314,133 @@ def test_sample_mixture_frequencies():
         counts[sample_mixture(weights, rng)] += 1
     chi2 = np.sum((counts - n * weights) ** 2 / (n * weights))
     assert chi2 < 16.27  # chi-square critical value, 3 dof, alpha 1e-3
+
+
+def sequential_kernel_sum(points, centers, scale, weights):
+    """Dense reference: every center's weighted kernel at every point,
+    ``z**2`` summed in dimension order and the terms added in center
+    order, one center at a time."""
+    m = centers.shape[0]
+    acc = np.zeros(points.shape[0])
+    for c, s, w in zip(centers, np.broadcast_to(scale, (m,)),
+                       np.broadcast_to(weights, (m,))):
+        z2 = ((c[0] - points[:, 0]) / s) ** 2
+        for d in range(1, centers.shape[1]):
+            z2 += ((c[d] - points[:, d]) / s) ** 2
+        acc = acc + w * np.exp(-0.5 * z2)
+    return acc
+
+
+def kernel_sum_case(seed, dims, n, m, per_center):
+    """Points and centers in [-1, 1]**dims, scales from 1e-3 to 1 (so that
+    many kernels underflow to exactly 0.0), and positive weights."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (n, dims))
+    centers = rng.uniform(-1.0, 1.0, (m, dims))
+    if per_center:
+        scale = 10.0 ** rng.uniform(-3.0, 0.0, m)
+        weights = rng.uniform(0.1, 10.0, m)
+    else:
+        scale, weights = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(0.1, 10.0)
+    return points, centers, scale, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dims=st.integers(1, 3),
+       n=st.integers(1, 300), m=st.integers(1, 80), per_center=st.booleans(),
+       tile=st.integers(1, 70), floats=st.integers(1, 5000))
+def test_kernel_sum_is_the_sequential_sum_in_any_tiling(
+        seed, dims, n, m, per_center, tile, floats):
+    points, centers, scale, weights = kernel_sum_case(seed, dims, n, m,
+                                                      per_center)
+    batch = gaussian_kernel_sum(points, centers, scale, weights)
+    # bit for bit the dense sum in center order, skipped zeros and all
+    np.testing.assert_array_equal(
+        batch, sequential_kernel_sum(points, centers, scale, weights))
+    # and close to a dense exp-and-matmul sum in any order
+    z2 = (((points[:, None, :] - centers) / np.reshape(scale, (-1, 1))) ** 2
+          ).sum(axis=2)
+    np.testing.assert_allclose(
+        batch, np.exp(-0.5 * z2) @ np.broadcast_to(weights, (m,)),
+        rtol=1e-13, atol=0.0)
+    with mock.patch.object(proposal, "_TILE_POINTS", tile), \
+            mock.patch.object(proposal, "_TILE_FLOATS", floats):
+        np.testing.assert_array_equal(
+            gaussian_kernel_sum(points, centers, scale, weights), batch)
+        reverse = gaussian_kernel_sum(points[::-1], centers, scale, weights)
+        np.testing.assert_array_equal(reverse[::-1], batch)
+        for i in {0, n // 2, n - 1}:
+            alone = gaussian_kernel_sum(points[i:i + 1], centers, scale,
+                                        weights)
+            np.testing.assert_array_equal(alone, batch[i:i + 1])
+
+
+def test_kernel_sum_skips_only_exact_zeros():
+    limit = math.sqrt(proposal._ZERO_Z2)
+    assert math.exp(-0.5 * proposal._ZERO_Z2) == 0.0
+    # 200 points in [0, 1]: several tiles, each of which prunes
+    points = np.linspace(0.0, 1.0, 200)[:, None]
+    scale = 1e-3
+    # the last kernel that does not underflow, at z**2 = 1480 from x = 1,
+    # is kept: every point in its tile sums a subnormal or larger term
+    kept = 1.0 + math.sqrt(1480.0) * scale
+    sums = gaussian_kernel_sum(points, np.array([[kept], [-5.0]]), scale,
+                               np.ones(2))
+    assert sums[-1] == math.exp(-740.0) > 0.0
+    np.testing.assert_array_equal(sums, sequential_kernel_sum(
+        points, np.array([[kept], [-5.0]]), scale, np.ones(2)))
+    # a center just beyond the reach of every point contributes exactly 0
+    beyond = 1.0 + limit * scale * (1.0 + 1e-12)
+    centers = np.array([[beyond], [0.5]])
+    with_far = gaussian_kernel_sum(points, centers, scale, np.ones(2))
+    np.testing.assert_array_equal(
+        with_far, gaussian_kernel_sum(points, centers[1:], scale, 1.0))
+    assert gaussian_kernel_sum(points, centers[:1], scale, 1.0).max() == 0.0
+
+
+@pytest.fixture(scope="module")
+def gaussian_tree():
+    """A 2D Gaussian-kernel tree, deep around the modes of its target."""
+    return run_tp_ais(make_gmm5_target(np.random.default_rng(41), 2),
+                      SamplerConfig(dims=2, n_samples=600,
+                                    kernel=Kernel.GAUSSIAN, seed=42)).tree
+
+
+@settings(max_examples=20, deadline=None)
+@given(tile=st.integers(1, 70), floats=st.integers(1, 1 << 22),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gaussian_mixture_density_is_the_same_alone_or_in_any_batch(
+        gaussian_tree, tile, floats, seed):
+    mixture = TreeProposal(gaussian_tree, Kernel.GAUSSIAN)
+    rng = np.random.default_rng(seed)
+    query = rng.uniform(-1.0, 1.0, (257, 2))
+    batch = mixture.density(query)
+    every = mixture.density(query, every_node=True)
+    with mock.patch.object(proposal, "_TILE_POINTS", tile), \
+            mock.patch.object(proposal, "_TILE_FLOATS", floats):
+        np.testing.assert_array_equal(mixture.density(query), batch)
+        np.testing.assert_array_equal(mixture.density(query[::-1])[::-1],
+                                      batch)
+        np.testing.assert_array_equal(
+            mixture.density(query, every_node=True), every)
+        for i in rng.choice(len(query), 4, replace=False):
+            assert mixture.density(query[i]) == batch[i]
+
+
+def test_all_node_kernel_sum_memory_is_bounded():
+    # The Gaussian all-node density of a run's N samples is an N x N sum.
+    # At N=32768 one block would hold 8 GiB; a tile holds at most 64
+    # points against every center, 16 MiB per array.
+    result = run_tp_ais(make_gmm5_target(np.random.default_rng(43), 1),
+                        SamplerConfig(dims=1, n_samples=32768,
+                                      kernel=Kernel.GAUSSIAN, seed=44))
+    mixture = TreeProposal(result.tree, Kernel.GAUSSIAN)
+    samples = result.sample_set.samples
+    tracemalloc.start()
+    try:
+        density = mixture.density(samples, every_node=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert density.shape == (len(result.tree),) and np.all(density > 0.0)
+    assert peak < 48 * 2 ** 20

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import component_density
+from tpais.baselines import MHConfig, PMCConfig
 from tpais.bench import derive_seed
 from tpais.proposal import Kernel, TreeProposal
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
@@ -313,6 +314,23 @@ def test_config_validation():
     config = SamplerConfig(dims=2.0, n_samples=np.int64(8))
     assert (config.dims, config.n_samples) == (2, 8)
     assert type(config.dims) is type(config.n_samples) is int
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: SamplerConfig(dims=1, n_samples=4, seed=seed),
+    lambda seed: MHConfig(dims=1, n_samples=4, seed=seed),
+    lambda seed: PMCConfig(dims=1, population_size=4, iterations=1,
+                           seed=seed),
+], ids=["tpais", "mh", "pmc"])
+def test_every_sampler_config_parses_its_seed(make):
+    # None would draw fresh OS entropy, True would run as seed 1, and a
+    # fraction or a negative seed would fail inside NumPy's SeedSequence
+    for bad in (None, True, 2.5, -1):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            make(bad)
+    for given, seed in ((0, 0), (np.uint64(7), 7), ("12", 12), (3.0, 3)):
+        config = make(given)
+        assert config.seed == seed and type(config.seed) is int
 
 
 def test_weight_helpers():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tpais import proposal
+from tpais import targets
 from tpais.targets import (EGG_MODE_COORDS, GaussianMixture, make_egg_target,
                            make_gmm5_target, make_normal_target)
 from tpais.tree import DomainBounds
@@ -46,7 +46,7 @@ def test_density_blocks_match_one_block(monkeypatch):
     model = make_egg_target(3).model
     pts = np.random.default_rng(2).uniform(-1, 1, size=(1000, 3))
     one_block = model.density(pts)
-    monkeypatch.setattr(proposal, "_BLOCK_PAIRS", 3500)
+    monkeypatch.setattr(targets, "_BLOCK_PAIRS", 3500)
     np.testing.assert_allclose(model.density(pts), one_block, rtol=1e-12)
     assert model.density(pts[7]) == pytest.approx(one_block[7], rel=1e-12)
 

@@ -20,6 +20,11 @@ def test_centered_bounds():
     np.testing.assert_array_equal(bounds.center, [0.0, 0.0])
     assert bounds.radius == 1.0
     assert bounds.volume == 4.0
+    # dims is a count: a boolean or a fraction is not one
+    for bad in (True, 2.5, 0, None):
+        with pytest.raises(ValueError, match="dims must be a whole"):
+            DomainBounds.centered(bad)
+    assert DomainBounds.centered(np.int64(3)).dims == 3
 
 
 def test_root_matches_bounds():
