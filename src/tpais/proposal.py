@@ -105,6 +105,8 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     scale = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
     weights = np.broadcast_to(np.asarray(weights, dtype=float), (m,))
     size = max(1, min(_TILE_POINTS, _TILE_FLOATS // max(m, 1)))
+    # one small batch, as in DM-PMC: a sort and a box test would cost
+    # about as much as its kernels
     if points.shape[0] <= size:
         return _tile_sum(points, centers, scale, weights)
     out = np.empty(points.shape[0])

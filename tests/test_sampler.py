@@ -328,8 +328,8 @@ def test_every_sampler_config_parses_its_seed(make):
     for bad in (None, True, 2.5, -1):
         with pytest.raises(ValueError, match="seed must be a whole number"):
             make(bad)
-    for given, seed in ((0, 0), (np.uint64(7), 7), ("12", 12), (3.0, 3)):
-        config = make(given)
+    for value, seed in ((0, 0), (np.uint64(7), 7), ("12", 12), (3.0, 3)):
+        config = make(value)
         assert config.seed == seed and type(config.seed) is int
 
 
