@@ -14,7 +14,11 @@ tiles and skips, per tile, every center too far from all of the tile's
 points to give a nonzero term (the exact-zero case of the fast Gauss
 transform and of dual-tree kernel sums). Each point's terms are added in
 center order, so skipping zeros changes no bit, and a point's value does
-not depend on the batch or tile it is taken in.
+not depend on the batch or tile it is taken in. Skipping pays where the
+kernels are narrow against the spread of the points, as for the leaves
+of a deep tree. A KDE whose reach, ``sqrt(1600)`` bandwidths, spans the
+domain skips almost nothing: there the tiles only keep each block small,
+and the sort and the box tests are overhead.
 """
 
 from __future__ import annotations

@@ -176,11 +176,7 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         points, q = proposal.draw(rows, rng)
         values = _eval_target(target, points)
         tree.weight[rows] = _weights(values, q)
-        if isinstance(rows, slice):
-            tree.sample[rows] = points
-        else:  # one column at a time: 2-D fancy assignment is slower
-            for d in range(dims):
-                tree.sample[rows, d] = points[:, d]
+        tree.sample[rows] = points
         tree.target_value[rows] = values
         return values
 
