@@ -9,7 +9,7 @@ import numpy as np
 
 from .proposal import gaussian_kernel_sum
 from .sampler import WeightedSampleSet, _domain, _eval_target, _scale
-from .tree import DomainBounds, _count
+from .tree import DomainBounds, _count, _member
 
 
 @dataclass
@@ -106,9 +106,9 @@ class PMCConfig:
 
     Settings are validated as :class:`SamplerConfig`'s are: ``dims``,
     ``population_size`` and ``iterations`` are whole numbers >= 1, ``seed``
-    is one >= 0, ``kernel_std`` is positive and finite, and ``bounds``
-    defaults to ``[-1, 1]**dims``; each bad setting raises a ``ValueError``
-    naming its key.
+    is one >= 0, ``kernel_std`` is positive and finite, ``dm_weights`` is a
+    bool, and ``bounds`` defaults to ``[-1, 1]**dims``; each bad setting
+    raises a ``ValueError`` naming its key.
     """
 
     dims: int
@@ -125,6 +125,7 @@ class PMCConfig:
         self.population_size = _count("population_size", self.population_size)
         self.iterations = _count("iterations", self.iterations)
         self.kernel_std = _scale("kernel_std", self.kernel_std)
+        self.dm_weights = _member("dm_weights", self.dm_weights, bool)
         self.seed = _count("seed", self.seed, least=0)
 
 

@@ -210,6 +210,8 @@ def run_single(spec: ExperimentSpec, method: str, family: str, dims: int,
                          metrics_rng)
         row.ness = ness
         row.jsd = min(max(divergence, 0.0), LN2)
+        # keep the one math.nan object: a computed NaN is a new object, and
+        # equal rows compare their NaN fields by identity
         row.evidence_mse = ((evidence - 1.0) ** 2
                             if not math.isnan(evidence) else math.nan)
     except Exception as exc:  # noqa: BLE001 - error rows must not abort runs

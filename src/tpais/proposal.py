@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .tree import TreePyramid, _as_batch
+from .tree import TreePyramid, _as_batch, _member
 
 
 class Kernel(enum.Enum):
@@ -126,11 +126,12 @@ class TreeProposal:
 
     ``rows`` arguments name leaves by their row in ``tree``: a slice
     (read as a view, as for the children of one split) or an int array.
+    ``kernel`` must be a ``Kernel``, or a ``ValueError`` names it.
     """
 
     def __init__(self, tree: TreePyramid, kernel: Kernel = Kernel.UNIFORM):
         self.tree = tree
-        self.kernel = kernel
+        self.kernel = _member("kernel", kernel, Kernel)
 
     def draw(self, rows, rng: np.random.Generator):
         """One draw from the component of each leaf at ``rows``; returns
@@ -139,7 +140,7 @@ class TreeProposal:
         tree = self.tree
         centers = (tree.center[rows] if isinstance(rows, slice)
                    else tree.center.take(rows, 0))
-        radii = tree.per_level(float, rows)
+        radii = tree.radii(rows)
         n, dims = centers.shape
         if self.kernel is Kernel.UNIFORM:
             u = rng.random((n, dims))
@@ -171,41 +172,9 @@ class TreeProposal:
                            0.0)
         else:
             nodes = np.arange(len(tree)) if every_node else tree.leaf_indices()
-            radii = tree.per_level(float, nodes)
+            radii = tree.radii(nodes)
             comp = 1.0 / (len(nodes)
                           * (radii * math.sqrt(2.0 * math.pi)) ** tree.dims)
             acc = gaussian_kernel_sum(pts, tree.center.take(nodes, axis=0),
                                       radii, comp)
         return float(acc[0]) if single else acc
-
-
-def mixture_weights(tree: TreePyramid) -> np.ndarray:
-    """Normalized per-leaf selection weights ``w_i * r_i**K``.
-
-    Leaves whose importance weight is unset or zero contribute zero. Raises
-    ``ValueError`` when every leaf does (a degenerate mixture that cannot
-    be drawn from).
-    """
-    leaves = tree.leaf_indices()
-    weights = tree.weight.take(leaves)
-    vals = (np.where(np.isnan(weights), 0.0, weights)
-            * tree.per_level(lambda r: r ** tree.dims, leaves))
-    if np.count_nonzero((vals >= 0.0) & (vals < math.inf)) < vals.size:
-        raise ValueError("leaf weights must be finite and non-negative")
-    total = vals.sum()
-    if total <= 0.0:
-        raise ValueError("degenerate mixture: every leaf has zero weight")
-    return vals / total
-
-
-def sample_mixture(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a component index by inverse-CDF over ``weights``.
-
-    Returns the smallest index whose cumulative weight reaches the uniform
-    draw, so ties and zero-weight entries behave deterministically.
-    """
-    weights = np.asarray(weights, dtype=float)
-    cum = np.cumsum(weights)
-    alpha = rng.uniform()
-    idx = int(np.searchsorted(cum, alpha, side="left"))
-    return min(idx, len(weights) - 1)

@@ -4,6 +4,8 @@ The sampler grows a tree pyramid over the domain: each iteration picks one
 leaf, splits it, and draws a fresh sample from every new child cell. The
 leaf mixture therefore concentrates components wherever the target has
 mass, and every drawn sample doubles as an importance-weighted point.
+Which leaf to split is decided here alone: by the score
+``value * radius**K``, greedily or by a mixture draw over the leaves.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .proposal import Kernel, TreeProposal, mixture_weights, sample_mixture
-from .tree import DomainBounds, TreePyramid, _count
+from .proposal import Kernel, TreeProposal
+from .tree import DomainBounds, TreePyramid, _count, _member
 
 
 class Weighting(enum.Enum):
@@ -62,7 +64,9 @@ class SamplerConfig:
     ``n_samples`` is the size the returned sample set must reach; the final
     refinement step may overshoot it by at most ``2**dims - 1`` samples.
     ``dims`` and ``n_samples`` are whole numbers >= 1 and ``seed`` one >= 0;
-    a bad setting raises a ``ValueError`` naming its key.
+    ``kernel``, ``weighting`` and ``node_selection`` are members of their
+    enums and ``resample_leaves`` is a bool. A bad setting raises a
+    ``ValueError`` naming its key.
     """
 
     dims: int
@@ -78,6 +82,12 @@ class SamplerConfig:
         self.dims = _count("dims", self.dims)
         self.n_samples = _count("n_samples", self.n_samples)
         self.bounds = _domain(self.dims, self.bounds)
+        self.kernel = _member("kernel", self.kernel, Kernel)
+        self.weighting = _member("weighting", self.weighting, Weighting)
+        self.node_selection = _member("node_selection", self.node_selection,
+                                      NodeSelection)
+        self.resample_leaves = _member("resample_leaves",
+                                       self.resample_leaves, bool)
         self.seed = _count("seed", self.seed, least=0)
 
 
@@ -127,6 +137,38 @@ def _weights(values, density) -> np.ndarray:
     if not (density > 0.0).all():
         raise ValueError("proposal density is zero at a sample")
     return values / density
+
+
+def mixture_weights(tree: TreePyramid, leaves) -> np.ndarray:
+    """Normalized selection weights ``w_i * r_i**K`` of the leaves at rows
+    ``leaves``.
+
+    Leaves whose importance weight is unset or zero contribute zero. Raises
+    ``ValueError`` when every leaf does (a degenerate mixture that cannot
+    be drawn from).
+    """
+    weights = tree.weight.take(leaves)
+    vals = (np.where(np.isnan(weights), 0.0, weights)
+            * tree.radii(leaves) ** tree.dims)
+    if np.count_nonzero((vals >= 0.0) & (vals < math.inf)) < vals.size:
+        raise ValueError("leaf weights must be finite and non-negative")
+    total = vals.sum()
+    if total <= 0.0:
+        raise ValueError("degenerate mixture: every leaf has zero weight")
+    return vals / total
+
+
+def sample_mixture(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw a component index by inverse-CDF over ``weights``.
+
+    Returns the smallest index whose cumulative weight reaches the uniform
+    draw, so ties and zero-weight entries behave deterministically.
+    """
+    weights = np.asarray(weights, dtype=float)
+    cum = np.cumsum(weights)
+    alpha = rng.uniform()
+    idx = int(np.searchsorted(cum, alpha, side="left"))
+    return min(idx, len(weights) - 1)
 
 
 def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
@@ -198,11 +240,11 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
             if config.resample_leaves:
                 sample_nodes(leaves)
             if greedy:
-                scores = tree.target_value[leaves] * tree.per_level(
-                    lambda r: r ** dims, leaves)
+                scores = tree.target_value[leaves] * tree.radii(leaves) ** dims
                 chosen = leaves[int(np.argmax(scores))]
             else:
-                chosen = leaves[sample_mixture(mixture_weights(tree), rng)]
+                weights = mixture_weights(tree, leaves)
+                chosen = leaves[sample_mixture(weights, rng)]
         sample_new(tree.expand(chosen), 2 ** dims)
 
     rows = (tree.leaf_indices() if config.resample_leaves
@@ -233,6 +275,7 @@ def leaf_sample_set(tree: TreePyramid, kernel: Kernel,
     mixture weights divide the stored target value by the leaf-mixture
     density of the finished tree.
     """
+    weighting = _member("weighting", weighting, Weighting)
     leaves = tree.leaf_indices()
     if np.isnan(tree.weight.take(leaves)).any():
         raise ValueError("every leaf must hold a sample")

@@ -56,6 +56,15 @@ def _count(key: str, value, least=1) -> int:
     raise ValueError(f"{key} must be a whole number{bound}, got {value!r}")
 
 
+def _member(key: str, value, kind):
+    """``value`` as a ``kind``; a ``ValueError`` naming ``key`` unless it is
+    a member of the enum ``kind`` or, for ``kind=bool``, a ``bool`` or
+    ``np.bool_``. No string spelling is accepted."""
+    if isinstance(value, (bool, np.bool_) if kind is bool else kind):
+        return kind(value)
+    raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DomainBounds:
     """Axis-aligned hypercube domain ``[lower_d, upper_d]`` for each dimension.
@@ -264,17 +273,9 @@ class TreePyramid:
         """Total number of nodes."""
         return self._size
 
-    def per_level(self, fn, index) -> np.ndarray:
-        """``fn(radius)`` for the nodes at rows ``index`` (an int array or a
-        slice).
-
-        Every node of one level has the same radius, so ``fn`` runs once per
-        level on a Python float and each value equals the scalar expression
-        evaluated node by node (NumPy's vectorized ``**`` rounds
-        differently from Python's).
-        """
-        table = np.array([fn(radius) for radius in self.level_radii])
-        return table.take(self.level[index])
+    def radii(self, rows) -> np.ndarray:
+        """Radius of each node at ``rows`` (an int array or a slice)."""
+        return np.array(self.level_radii).take(self.level[rows])
 
     def expand(self, row) -> int:
         """Split the leaf at row ``row`` into its 2**K children and return

@@ -18,9 +18,10 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def grow_random_tree(dims, n_expansions, rng):
-    """Tree over [-1, 1]**dims grown by uniformly random leaf expansions."""
-    tree = TreePyramid(DomainBounds.centered(dims))
+def grow_random_tree(dims, n_expansions, rng, half_width=1.0):
+    """Tree over [-half_width, half_width]**dims grown by uniformly random
+    leaf expansions."""
+    tree = TreePyramid(DomainBounds.centered(dims, half_width))
     for _ in range(n_expansions):
         leaves = tree.leaf_indices()
         tree.expand(leaves[int(rng.integers(len(leaves)))])

@@ -1,5 +1,5 @@
-"""Proposal mixture tests: component densities, normalization, mixture
-draws, and the pruned Gaussian kernel sum."""
+"""Proposal mixture tests: component densities, normalization, the
+sampler's mixture-draw helpers, and the pruned Gaussian kernel sum."""
 
 import math
 import tracemalloc
@@ -14,9 +14,9 @@ from conftest import (component_density, dyadic_midpoint_grid,
                       grow_random_tree)
 from tpais import proposal
 from tpais.bench import derive_seed
-from tpais.proposal import (Kernel, TreeProposal, gaussian_kernel_sum,
-                            mixture_weights, sample_mixture)
-from tpais.sampler import SamplerConfig, run_tp_ais
+from tpais.proposal import Kernel, TreeProposal, gaussian_kernel_sum
+from tpais.sampler import (SamplerConfig, mixture_weights, run_tp_ais,
+                           sample_mixture)
 from tpais.targets import make_gmm5_target
 from tpais.tree import DomainBounds, Node, TreePyramid
 
@@ -243,10 +243,14 @@ def test_mixture_weights_values():
     tree = TreePyramid(DomainBounds.centered(1))
     tree.expand(0)
     a, b = tree.root.children
+    leaves = tree.leaf_indices()
     tree.weight[[a.index, b.index]] = 1.0, 1.0
-    np.testing.assert_allclose(mixture_weights(tree), [0.5, 0.5])
+    np.testing.assert_allclose(mixture_weights(tree, leaves), [0.5, 0.5])
     tree.weight[[a.index, b.index]] = 3.0, 1.0
-    np.testing.assert_allclose(mixture_weights(tree), [0.75, 0.25])
+    np.testing.assert_allclose(mixture_weights(tree, leaves), [0.75, 0.25])
+    # only the rows passed are weighed, in the order given
+    np.testing.assert_allclose(mixture_weights(tree, leaves[::-1]),
+                               [0.25, 0.75])
 
 
 def test_mixture_weights_radius_power():
@@ -261,7 +265,7 @@ def test_mixture_weights_radius_power():
     tree.weight[[big.index, small.index]] = 1.0
     leaves = tree.leaves()
     pair = [leaves.index(big), leaves.index(small)]
-    weights = mixture_weights(tree)
+    weights = mixture_weights(tree, tree.leaf_indices())
     np.testing.assert_allclose(weights[pair], [0.8, 0.2])
     assert np.all(np.delete(weights, pair) == 0.0)
 
@@ -273,7 +277,7 @@ def test_mixture_weights_normalized_on_random_trees():
                                 int(rng.integers(1, 8)), rng)
         for leaf in tree.leaves():
             tree.weight[leaf.index] = float(rng.uniform(0.0, 5.0))
-        weights = mixture_weights(tree)
+        weights = mixture_weights(tree, tree.leaf_indices())
         assert abs(weights.sum() - 1.0) < 1e-12
         assert np.all(weights >= 0.0)
 
@@ -283,16 +287,17 @@ def test_mixture_weights_unset_contribute_zero():
     tree.expand(0)
     a, b = tree.root.children
     tree.weight[a.index] = 2.0
-    np.testing.assert_allclose(mixture_weights(tree), [1.0, 0.0])
+    np.testing.assert_allclose(mixture_weights(tree, tree.leaf_indices()),
+                               [1.0, 0.0])
 
 
 def test_mixture_weights_degenerate():
     tree = TreePyramid(DomainBounds.centered(1))
     with pytest.raises(ValueError, match="degenerate"):
-        mixture_weights(tree)
+        mixture_weights(tree, tree.leaf_indices())
     tree.weight[0] = 0.0
     with pytest.raises(ValueError, match="degenerate"):
-        mixture_weights(tree)
+        mixture_weights(tree, tree.leaf_indices())
 
 
 def test_sample_mixture_inverse_cdf():

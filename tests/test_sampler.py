@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import component_density
+from tpais import sampler
 from tpais.baselines import MHConfig, PMCConfig
 from tpais.bench import derive_seed
 from tpais.proposal import Kernel, TreeProposal
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
                            WeightedSampleSet, evidence_from_tree,
-                           leaf_sample_set, run_tp_ais)
+                           leaf_sample_set, mixture_weights, run_tp_ais)
 from tpais.targets import GaussianMixture, make_gmm5_target
 from tpais.tree import (DepthLimitError, DomainBounds, Node, TreePyramid,
                         serialize_tree)
@@ -135,6 +136,32 @@ def test_mixture_draw_degenerate_state_raises():
                         node_selection=NodeSelection.MIXTURE_DRAW)
     with pytest.raises(ValueError, match="degenerate"):
         run_tp_ais(right_only, cfg)
+
+
+@pytest.mark.parametrize("selection, resample", [
+    (NodeSelection.MIXTURE_DRAW, False), (NodeSelection.MIXTURE_DRAW, True),
+    (NodeSelection.MAX_EVIDENCE, False), (NodeSelection.MAX_EVIDENCE, True),
+], ids=["mix", "mix-resample", "heap", "argmax-resample"])
+def test_run_calls_mixture_weights_through_its_module(monkeypatch, selection,
+                                                      resample):
+    # a caller may replace tpais.sampler.mixture_weights (the benchmark's
+    # layer trace does): mixture-draw splits call it through the module,
+    # once per split on the leaves the loop listed; greedy ones never do
+    calls = []
+
+    def listed(tree, leaves):
+        calls.append(leaves)
+        np.testing.assert_array_equal(leaves, tree.leaf_indices())
+        return mixture_weights(tree, leaves)
+
+    monkeypatch.setattr(sampler, "mixture_weights", listed)
+    target = make_gmm5_target(np.random.default_rng(3), 2)
+    result = run_tp_ais(target, SamplerConfig(
+        dims=2, n_samples=64, node_selection=selection,
+        resample_leaves=resample, seed=4))
+    splits = (len(result.tree) - 1) // 4
+    mixture = selection is NodeSelection.MIXTURE_DRAW
+    assert len(calls) == (splits if mixture else 0)
 
 
 def test_dm_matches_standard_after_normalizing():
@@ -314,6 +341,47 @@ def test_config_validation():
     config = SamplerConfig(dims=2.0, n_samples=np.int64(8))
     assert (config.dims, config.n_samples) == (2, 8)
     assert type(config.dims) is type(config.n_samples) is int
+    config = SamplerConfig(dims=1, n_samples=4, resample_leaves=np.True_)
+    assert config.resample_leaves is True
+
+
+def _sampled_tree():
+    return run_tp_ais(uniform_target,
+                      SamplerConfig(dims=1, n_samples=4, seed=0)).tree
+
+
+@pytest.mark.parametrize("key, build, good, bad", [
+    ("kernel", lambda v: SamplerConfig(dims=1, n_samples=4, kernel=v),
+     list(Kernel), ["uniform", Weighting.STANDARD, None, 0]),
+    ("weighting", lambda v: SamplerConfig(dims=1, n_samples=4, weighting=v),
+     list(Weighting), ["dm", Kernel.UNIFORM, None]),
+    ("node_selection",
+     lambda v: SamplerConfig(dims=1, n_samples=4, node_selection=v),
+     list(NodeSelection), ["max_evidence", "mixture_draw", None]),
+    ("resample_leaves",
+     lambda v: SamplerConfig(dims=1, n_samples=4, resample_leaves=v),
+     [True, False, np.True_], ["no", "False", 0, 1, None]),
+    ("dm_weights", lambda v: PMCConfig(dims=1, population_size=4,
+                                       iterations=1, dm_weights=v),
+     [True, False, np.False_], ["no", 1, None]),
+    ("kernel", lambda v: TreeProposal(TreePyramid(DomainBounds.centered(1)),
+                                      v),
+     list(Kernel), ["uniform", "gaussian", None]),
+    ("weighting", lambda v: leaf_sample_set(_sampled_tree(), Kernel.UNIFORM,
+                                            v),
+     list(Weighting), ["dm", "standard", None]),
+], ids=["SamplerConfig.kernel", "SamplerConfig.weighting",
+        "SamplerConfig.node_selection", "SamplerConfig.resample_leaves",
+        "PMCConfig.dm_weights", "TreeProposal.kernel",
+        "leaf_sample_set.weighting"])
+def test_enum_and_flag_settings_take_only_their_values(key, build, good, bad):
+    # any other value used to run as the other case: kernel="uniform" ran
+    # the Gaussian kernel, and resample_leaves="no" resampled
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{key} must be a"):
+            build(value)
+    for value in good:
+        build(value)
 
 
 @pytest.mark.parametrize("make", [

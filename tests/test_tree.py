@@ -105,16 +105,20 @@ def test_seven_leaves_after_two_2d_expansions():
 
 def test_radius_law_exact():
     rng = np.random.default_rng(11)
-    tree = grow_random_tree(2, 20, rng)
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        assert node.radius == tree.root.radius / 2 ** node.level
-        stack.extend(node.children)
-    # a radius is its level's; rows may be named by an int array or a slice
-    radii = tree.root.radius / 2.0 ** tree.level[:len(tree)]
-    for rows in (np.arange(len(tree)), slice(0, len(tree))):
-        np.testing.assert_array_equal(tree.per_level(float, rows), radii)
+    # on the "wide" domain the radii are not powers of two
+    for dims, half_width in itertools.product((1, 2, 3), (1.0, 1.051767)):
+        tree = grow_random_tree(dims, 15, rng, half_width)
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            assert node.radius == half_width / 2 ** node.level
+            stack.extend(node.children)
+        # a radius is its level's; rows may be an int array or a slice
+        every = np.arange(len(tree))
+        for rows in (rng.permutation(every), slice(0, len(tree)),
+                     slice(3, len(tree), 2)):
+            assert tree.radii(rows).tolist() == [
+                Node(tree, row).radius for row in every[rows]]
 
 
 def test_partition_fuzz():
