@@ -13,7 +13,7 @@ from .sampler import (NodeSelection, SamplerConfig, TPAISResult, Weighting,
                       run_tp_ais)
 from .targets import (GaussianMixture, TargetDensity, make_egg_target,
                       make_gmm5_target, make_normal_target)
-from .tree import DepthLimitError, DomainBounds, TreePyramid, serialize_tree
+from .tree import DepthLimitError, DomainBounds, TreePyramid
 
 __version__ = "0.1.0"
 
@@ -26,5 +26,5 @@ __all__ = [
     "evidence_from_tree", "evidence_mse", "expectation_estimate", "jsd",
     "kde_density", "kl_mc", "leaf_sample_set", "make_egg_target",
     "make_gmm5_target", "make_normal_target", "ness_is", "run_experiments",
-    "run_mh", "run_pmc", "run_single", "run_tp_ais", "serialize_tree",
+    "run_mh", "run_pmc", "run_single", "run_tp_ais",
 ]

@@ -49,9 +49,12 @@ def _scale(key: str, value) -> float:
 
 def _domain(dims: int, bounds) -> DomainBounds:
     """``bounds``, or ``[-1, 1]**dims`` when None; a ``ValueError`` naming
-    ``bounds`` unless it has ``dims`` dimensions."""
+    ``bounds`` unless it is a ``DomainBounds`` with ``dims`` dimensions."""
     if bounds is None:
         return DomainBounds.centered(dims)
+    if not isinstance(bounds, DomainBounds):
+        raise ValueError("bounds must be a DomainBounds or None, "
+                         f"got {bounds!r}")
     if bounds.dims != dims:
         raise ValueError(f"bounds have {bounds.dims} dimensions, not {dims}")
     return bounds

@@ -14,8 +14,6 @@ also where ``center +- radius`` rounds away from a parent's center.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -80,8 +78,9 @@ class DomainBounds:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError("bounds must be 1-d arrays of equal length")
+        if lower.ndim != 1 or lower.size == 0 or lower.shape != upper.shape:
+            raise ValueError("bounds must be non-empty 1-d arrays of equal "
+                             "length")
         if not np.all(np.isfinite([lower, upper])):
             raise ValueError("domain bounds must be finite")
         extents = upper - lower
@@ -175,20 +174,12 @@ class Node:
     @property
     def children(self) -> list["Node"]:
         first = int(self.tree.first_child[self.index])
-        rows = range(first, first + 2 ** self.dims) if first >= 0 else ()
+        rows = range(first, first + 2 ** self.tree.dims) if first >= 0 else ()
         return [Node(self.tree, row) for row in rows]
 
     @property
-    def is_leaf(self) -> bool:
-        return bool(self.tree.first_child[self.index] < 0)
-
-    @property
-    def dims(self) -> int:
-        return self.tree.dims
-
-    @property
     def volume(self) -> float:
-        return float((2.0 * self.radius) ** self.dims)
+        return float((2.0 * self.radius) ** self.tree.dims)
 
     def contains(self, x):
         """Whether the cell holds ``x``: a bool for one point (K,), a bool
@@ -198,7 +189,7 @@ class Node:
         this node (see the module docstring); the root holds the closed
         domain box.
         """
-        pts, single = _as_batch(x, self.dims)
+        pts, single = _as_batch(x, self.tree.dims)
         inside = self.tree._descend(pts, self.level) == self.index
         return bool(inside[0]) if single else inside
 
@@ -227,12 +218,11 @@ class TreePyramid:
     def __init__(self, bounds: DomainBounds):
         self.bounds = bounds
         self.dims = bounds.dims
-        # Children are ordered lexicographically over the sign pattern:
-        # "+" before "-", first dimension most significant.
-        self._signs = np.array(list(itertools.product((1.0, -1.0),
-                                                      repeat=self.dims)))
-        # a child's row offset has the bit of each dimension where it is "-"
+        # A child's row offset has the bit of each dimension where it is
+        # "-", first dimension most significant; so "+" comes before "-".
         self._bits = 1 << np.arange(self.dims - 1, -1, -1)
+        self._signs = np.where(np.arange(2 ** self.dims)[:, None] & self._bits,
+                               -1.0, 1.0)
         self.level_radii = [bounds.radius]  # radius of each level reached
         self._child_offsets = []  # half * signs for the children of a level
         self._size = 0
@@ -326,35 +316,3 @@ class TreePyramid:
         if points.ndim != 2 or points.shape[1] != self.dims:
             raise ValueError(f"expected points of shape (n, {self.dims})")
         return self._descend(points, len(self.level_radii) - 1)
-
-    def find_leaf(self, x) -> Node:
-        """Return the unique leaf whose cell contains the point ``x`` (K,);
-        raises ``ValueError`` outside the domain."""
-        row = int(self.locate(np.asarray(x, dtype=float)[None, :])[0])
-        if row < 0:
-            raise ValueError("point lies outside the domain")
-        return Node(self, row)
-
-
-def serialize_tree(tree: TreePyramid) -> str:
-    """Render a tree as deterministic line-oriented text.
-
-    One node per line in depth-first preorder (children in sign order);
-    fields are level, center coordinates, radius, weight and sample
-    coordinates, space-separated, with ``-`` for unset values.
-    """
-    fanout = 2 ** tree.dims
-    lines, stack = [], [0]
-    while stack:
-        row = stack.pop()
-        weight, sample = float(tree.weight[row]), tree.sample[row].tolist()
-        fields = [str(tree.level[row]),
-                  *map(repr, tree.center[row].tolist()),
-                  repr(tree.level_radii[tree.level[row]]),
-                  "-" if math.isnan(weight) else repr(weight),
-                  *(["-"] if math.isnan(sample[0]) else map(repr, sample))]
-        lines.append(" ".join(fields))
-        first = int(tree.first_child[row])
-        if first >= 0:
-            stack.extend(reversed(range(first, first + fanout)))
-    return "\n".join(lines) + "\n"

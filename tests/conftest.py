@@ -10,6 +10,11 @@ from tpais.tree import DomainBounds, Node, TreePyramid, _as_batch
 # verdict lines collected by the acceptance tests, printed after the run
 ACCEPTANCE_LINES = []
 
+# 2D bounds spelled as something other than a DomainBounds: a tuple, a
+# list, an array and a string, which every sampler config rejects
+NOT_BOUNDS = ((-1.0, 1.0), [[-1.0, -1.0], [1.0, 1.0]],
+              np.array([[-1.0, -1.0], [1.0, 1.0]]), "[-1, 1]")
+
 
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
@@ -51,11 +56,35 @@ def component_density(node: Node, x, kernel: Kernel):
     elsewhere; the Gaussian component is an isotropic normal with mean
     ``center`` and standard deviation ``radius`` in every dimension.
     """
-    pts, single = _as_batch(x, node.dims)
+    pts, single = _as_batch(x, node.tree.dims)
     if kernel is Kernel.UNIFORM:
         out = node.contains(pts) / node.volume
     else:
         z = (pts - node.center) / node.radius
-        norm = (node.radius * math.sqrt(2.0 * math.pi)) ** node.dims
+        norm = (node.radius * math.sqrt(2.0 * math.pi)) ** node.tree.dims
         out = np.exp(-0.5 * np.sum(z * z, axis=1)) / norm
     return float(out[0]) if single else out
+
+
+def serialize_tree(tree: TreePyramid) -> str:
+    """Render a tree as deterministic line-oriented text.
+
+    One node per line in depth-first preorder (children in sign order);
+    fields are level, center coordinates, radius, weight and sample
+    coordinates, space-separated, with ``-`` for unset values.
+    """
+    fanout = 2 ** tree.dims
+    lines, stack = [], [0]
+    while stack:
+        row = stack.pop()
+        weight, sample = float(tree.weight[row]), tree.sample[row].tolist()
+        fields = [str(tree.level[row]),
+                  *map(repr, tree.center[row].tolist()),
+                  repr(tree.level_radii[tree.level[row]]),
+                  "-" if math.isnan(weight) else repr(weight),
+                  *(["-"] if math.isnan(sample[0]) else map(repr, sample))]
+        lines.append(" ".join(fields))
+        first = int(tree.first_child[row])
+        if first >= 0:
+            stack.extend(reversed(range(first, first + fanout)))
+    return "\n".join(lines) + "\n"

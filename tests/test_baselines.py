@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import NOT_BOUNDS
 from tpais.baselines import MHConfig, PMCConfig, run_mh, run_pmc
 from tpais.bench import derive_seed
 from tpais.metrics import ess_mcmc, ness_is
@@ -110,6 +111,9 @@ def test_mh_config_validation():
             MHConfig(**{"dims": 1, "n_samples": 10, key: bad})
     with pytest.raises(ValueError, match="bounds"):
         MHConfig(dims=2, n_samples=10, bounds=DomainBounds.centered(1))
+    for bad in NOT_BOUNDS:
+        with pytest.raises(ValueError, match="bounds must be a DomainBounds"):
+            MHConfig(dims=2, n_samples=10, bounds=bad)
     config = MHConfig(dims=2.0, n_samples=np.int64(8), burn_in="3",
                       proposal_std=np.float32(0.5))
     assert (config.dims, config.n_samples, config.burn_in) == (2, 8, 3)
@@ -184,6 +188,9 @@ def test_pmc_determinism_and_config_validation():
     with pytest.raises(ValueError, match="bounds"):
         PMCConfig(dims=1, population_size=4, iterations=2,
                   bounds=DomainBounds.centered(2))
+    for bad in NOT_BOUNDS:
+        with pytest.raises(ValueError, match="bounds must be a DomainBounds"):
+            PMCConfig(dims=2, population_size=4, iterations=2, bounds=bad)
     config = PMCConfig(dims=2.0, population_size=np.int64(4),
                        iterations="3", kernel_std=np.float32(0.25))
     assert config.population_size == 4 and config.iterations == 3

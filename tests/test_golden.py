@@ -49,6 +49,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import serialize_tree
 from tpais.baselines import PMCConfig, run_pmc
 from tpais.bench import ExperimentSpec, derive_seed, run_single
 from tpais.metrics import KDEModel
@@ -56,7 +57,7 @@ from tpais.proposal import Kernel
 from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
                            evidence_from_tree, leaf_sample_set, run_tp_ais)
 from tpais.targets import make_gmm5_target
-from tpais.tree import DomainBounds, serialize_tree
+from tpais.tree import DomainBounds
 
 STD = Weighting.STANDARD
 DM = Weighting.DETERMINISTIC_MIXTURE

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import component_density
+from conftest import NOT_BOUNDS, component_density, serialize_tree
 from tpais import sampler
 from tpais.baselines import MHConfig, PMCConfig
 from tpais.bench import derive_seed
@@ -17,8 +17,7 @@ from tpais.sampler import (NodeSelection, SamplerConfig, Weighting,
                            WeightedSampleSet, evidence_from_tree,
                            leaf_sample_set, mixture_weights, run_tp_ais)
 from tpais.targets import GaussianMixture, make_gmm5_target
-from tpais.tree import (DepthLimitError, DomainBounds, Node, TreePyramid,
-                        serialize_tree)
+from tpais.tree import DepthLimitError, DomainBounds, Node, TreePyramid
 
 
 def uniform_target(x):
@@ -47,8 +46,8 @@ def test_max_evidence_tie_breaks_by_insertion():
     res = run_tp_ais(uniform_target, SamplerConfig(dims=1, n_samples=4, seed=9))
     plus, minus = res.tree.root.children
     assert plus.center[0] == 0.5
-    assert not plus.is_leaf
-    assert minus.is_leaf
+    assert res.tree.first_child[plus.index] >= 0
+    assert res.tree.first_child[minus.index] < 0
 
 
 def test_budget_overshoot_bound():
@@ -125,8 +124,9 @@ def test_mixture_draw_skips_zero_weight_leaves():
                         node_selection=NodeSelection.MIXTURE_DRAW)
     res = run_tp_ais(right_only, cfg)
     plus, minus = res.tree.root.children
-    assert minus.is_leaf  # zero-mass side never gets drawn for expansion
-    assert not plus.is_leaf
+    # the zero-mass side never gets drawn for expansion
+    assert res.tree.first_child[minus.index] < 0
+    assert res.tree.first_child[plus.index] >= 0
 
 
 def test_mixture_draw_degenerate_state_raises():
@@ -316,7 +316,8 @@ def test_max_evidence_flat_target_splits_in_insertion_order():
             node = queue.pop(0)
             order.append(node)
             queue.extend(node.children)
-        assert [not node.is_leaf for node in order] == (
+        split = res.tree.first_child[[node.index for node in order]] >= 0
+        assert split.tolist() == (
             [True] * splits + [False] * (len(order) - splits))
 
 
@@ -332,6 +333,9 @@ def test_config_validation():
         SamplerConfig(dims=1, n_samples=0)
     with pytest.raises(ValueError):
         SamplerConfig(dims=2, n_samples=4, bounds=DomainBounds.centered(1))
+    for bad in NOT_BOUNDS:
+        with pytest.raises(ValueError, match="bounds must be a DomainBounds"):
+            SamplerConfig(dims=2, n_samples=4, bounds=bad)
     # counts are whole numbers, and booleans are not counts
     for bad in (True, np.True_, 2.5, math.nan, math.inf, None):
         with pytest.raises(ValueError, match="n_samples must be a whole"):

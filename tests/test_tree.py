@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grow_random_tree
+from conftest import grow_random_tree, serialize_tree
 from tpais.proposal import Kernel, TreeProposal
-from tpais.tree import (DepthLimitError, DomainBounds, Node, TreePyramid,
-                        serialize_tree)
+from tpais.tree import DepthLimitError, DomainBounds, Node, TreePyramid
 
 
 def test_centered_bounds():
@@ -40,6 +39,8 @@ def test_bounds_rejects_inverted_and_flat():
         DomainBounds(np.array([1.0]), np.array([-1.0]))
     with pytest.raises(ValueError):
         DomainBounds(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="non-empty"):
+        DomainBounds([], [])
 
 
 def test_bounds_rejects_non_finite():
@@ -132,7 +133,7 @@ def test_partition_fuzz():
             x = rng.uniform(-1.0, 1.0, size=dims)
             owners = [leaf for leaf in tree.leaves() if leaf.contains(x)]
             assert len(owners) == 1
-            assert owners[0] == tree.find_leaf(x)
+            assert tree.locate(x[None]).tolist() == [owners[0].index]
 
 
 # coordinates in [-1, 1], including exact cell faces of the dyadic lattice
@@ -167,7 +168,7 @@ def _face_probes(leaf, bounds):
        picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12),
        points=st.lists(st.lists(_coordinate, min_size=3, max_size=3),
                        min_size=1, max_size=8))
-def test_property_leaves_partition_and_find_leaf(dims, domain, picks, points):
+def test_property_leaves_partition_and_locate(dims, domain, picks, points):
     lower, width = domain
     bounds = DomainBounds(np.full(dims, lower), np.full(dims, lower + width))
     tree = TreePyramid(bounds)
@@ -176,36 +177,40 @@ def test_property_leaves_partition_and_find_leaf(dims, domain, picks, points):
         tree.expand(leaves[int(u * len(leaves))])
     leaves = tree.leaves()
     assert len(leaves) == 1 + len(picks) * (2 ** dims - 1)
+    # every leaf's center locates to its own row
+    rows = tree.leaf_indices()
+    assert tree.locate(tree.center[rows]).tolist() == rows.tolist()
     assert math.fsum(leaf.volume for leaf in leaves) == tree.root.volume
     probes = [np.clip(lower + (np.array(point[:dims]) + 1.0) * (width / 2.0),
                       bounds.lower, bounds.upper) for point in points]
     if dims <= 2:
         probes += [x for leaf in leaves for x in _face_probes(leaf, bounds)]
     uniform = TreeProposal(tree, Kernel.UNIFORM)
-    for x in probes:
+    for x, row in zip(probes, tree.locate(np.array(probes)).tolist()):
         owners = [leaf for leaf in leaves if leaf.contains(x)]
         assert len(owners) == 1
-        assert tree.find_leaf(x) == owners[0]
-        assert owners[0].contains(x)
+        assert row == owners[0].index
         assert uniform.density(x) > 0.0
 
 
-def test_find_leaf_boundary_ownership():
+def test_locate_boundary_ownership():
     tree = TreePyramid(DomainBounds.centered(1))
-    tree.expand(0)
-    # the shared face at 0 belongs to the upper cell (lower-closed convention)
-    assert tree.find_leaf(np.array([0.0])).center[0] == 0.5
-    # domain faces: bottom belongs to the lowest cell, top stays covered
-    assert tree.find_leaf(np.array([-1.0])).center[0] == -0.5
-    assert tree.find_leaf(np.array([1.0])).center[0] == 0.5
+    plus = tree.expand(0)  # the "+" child at 0.5, then the "-" child
+    assert tree.center[[plus, plus + 1], 0].tolist() == [0.5, -0.5]
+    # the shared face at 0 belongs to the upper cell (lower-closed
+    # convention); domain faces: bottom belongs to the lowest cell, top
+    # stays covered
+    rows = tree.locate(np.array([[0.0], [-1.0], [1.0]]))
+    assert rows.tolist() == [plus, plus + 1, plus]
 
 
-def test_find_leaf_rejects_outside_point():
+def test_locate_outside_point_is_minus_one():
     tree = TreePyramid(DomainBounds.centered(2))
-    with pytest.raises(ValueError):
-        tree.find_leaf(np.array([1.5, 0.0]))
     # the domain box is closed: only the point beyond it has no leaf
     assert tree.locate(np.array([[1.5, 0.0], [1.0, -1.0]])).tolist() == [-1, 0]
+    tree.expand(tree.expand(0))
+    outside = np.array([[1.5, 0.0], [0.0, np.nextafter(-1.0, -np.inf)]])
+    assert tree.locate(outside).tolist() == [-1, -1]
 
 
 def test_contains_rejects_wrong_width():
@@ -272,7 +277,6 @@ def test_node_handles_read_the_tree_rows():
     for _ in range(6):
         tree.expand(tree.leaf_indices()[-1])
     leaf = tree.leaves()[0]
-    assert leaf == tree.find_leaf(leaf.center)
     assert type(leaf.radius) is float and type(leaf.level) is int
     np.testing.assert_array_equal(leaf.center, tree.center[leaf.index])
     # handles view geometry only; a node's draw is read from the columns
@@ -301,7 +305,9 @@ def test_leaf_flag_is_first_child_below_zero():
     tree.expand(tree.expand(0) + 2)
     np.testing.assert_array_equal(tree.first_child[[0, 3]], [1, 5])
     np.testing.assert_array_equal(tree.leaf_indices(), [1, 2, 4, 5, 6, 7, 8])
-    assert [child.is_leaf for child in tree.root.children] == [
+    assert (tree.first_child[1:5] < 0).tolist() == [True, True, False, True]
+    # a handle is a leaf exactly when it has no children
+    assert [not child.children for child in tree.root.children] == [
         True, True, False, True]
 
 
@@ -315,8 +321,11 @@ def test_node_handles_compare_by_tree_and_row():
     assert len({tree.root, Node(tree, 0), other.root}) == 2
     tree.expand(tree.expand(0) + 1)
     assert tree.root not in set(tree.leaves())
-    for x in (-1.0, -0.5, -0.1, 0.0, 1.0):
-        assert tree.find_leaf(np.array([x])) in set(tree.leaves())
+    xs = np.array([[-1.0], [-0.5], [-0.1], [0.0], [1.0]])
+    rows = tree.locate(xs).tolist()
+    assert {Node(tree, row) for row in rows} <= set(tree.leaves())
+    assert rows == [leaf.index for x in xs for leaf in tree.leaves()
+                    if leaf.contains(x)]
 
 
 def test_node_count():
