@@ -93,6 +93,15 @@ class ResultRow:
     wall_time_seconds: float = math.nan
     error: str = field(default=None)
 
+    def __eq__(self, other):
+        """Field by field, with a NaN equal to a NaN: two runs that
+        computed no value compare equal, whichever NaN objects they hold."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a == b or (isinstance(a, float) and isinstance(b, float)
+                              and math.isnan(a) and math.isnan(b))
+                   for a, b in zip(astuple(self), astuple(other)))
+
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed from a tuple of labels (order-sensitive)."""
@@ -210,10 +219,7 @@ def run_single(spec: ExperimentSpec, method: str, family: str, dims: int,
                          metrics_rng)
         row.ness = ness
         row.jsd = min(max(divergence, 0.0), LN2)
-        # keep the one math.nan object: a computed NaN is a new object, and
-        # equal rows compare their NaN fields by identity
-        row.evidence_mse = ((evidence - 1.0) ** 2
-                            if not math.isnan(evidence) else math.nan)
+        row.evidence_mse = (evidence - 1.0) ** 2
     except Exception as exc:  # noqa: BLE001 - error rows must not abort runs
         row.error = f"{type(exc).__name__}: {exc}"
     return row

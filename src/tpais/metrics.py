@@ -10,14 +10,13 @@ integrated autocorrelation with Geyer-style truncation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .proposal import gaussian_kernel_sum
 from .sampler import _eval_target, _scale
-from .tree import DomainBounds, _as_batch
+from .tree import DomainBounds, _as_batch, _count
 
 LN2 = math.log(2.0)
 
@@ -94,9 +93,8 @@ def ess_mcmc(chain) -> float:
     return float(min(max(ess_min, 1.0), n))
 
 
-def _uniform_points(bounds: DomainBounds, n: int, rng: np.random.Generator):
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+def _uniform_points(bounds: DomainBounds, n, rng: np.random.Generator):
+    n = _count("n", n)
     return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dims))
 
 
@@ -107,14 +105,15 @@ def kl_mc(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float
     ``p == 0`` contribute zero; any point with ``p > 0`` and ``q == 0``
     makes the divergence infinite. A density that breaks the target
     contract (finite, non-negative, shape (n,)), or an ``n`` that is not
-    an integer >= 1, raises ``ValueError``.
+    a count >= 1 as ``ExperimentSpec(jsd_points=...)`` reads one (a whole
+    number, or a string spelling one), raises ``ValueError``.
     """
     pts = _uniform_points(bounds, n, rng)
     pv, qv = _eval_target(p, pts), _eval_target(q, pts)
     support = pv > 0.0
     if np.any(qv[support] <= 0.0):
         return math.inf
-    terms = np.zeros(n)
+    terms = np.zeros(len(pts))
     terms[support] = pv[support] * np.log(pv[support] / qv[support])
     return float(bounds.volume * terms.mean())
 
@@ -133,7 +132,7 @@ def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
     pts = _uniform_points(bounds, n, rng)
     pv, qv = _eval_target(p, pts), _eval_target(q, pts)
     mid = 0.5 * (pv + qv)
-    terms = np.zeros(n)
+    terms = np.zeros(len(pts))
     mask_p = pv > 0.0
     mask_q = qv > 0.0
     terms[mask_p] += 0.5 * pv[mask_p] * np.log(pv[mask_p] / mid[mask_p])

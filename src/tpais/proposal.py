@@ -19,12 +19,28 @@ kernels are narrow against the spread of the points, as for the leaves
 of a deep tree. A KDE whose reach, ``sqrt(1600)`` bandwidths, spans the
 domain skips almost nothing: there the tiles only keep each block small,
 and the sort and the box tests are overhead.
+
+Since no tile's values depend on another tile, the sorted tiles are dealt
+out in turn (``tiles[i::k]``) to one thread per CPU the process may run
+on, and each thread writes its own rows of the result: NumPy releases the
+interpreter lock inside the ufuncs and reductions of a tile, so the
+threads overlap, and the result is the same bits as one thread's. The
+threads share the cap on center-point pairs in flight, each taking tiles
+of at most ``_TILE_FLOATS // k`` pairs, and they run under the caller's
+floating-point error settings. The pool is made on first use, and a
+forked child (as in ``bench.run_experiments(workers > 1)``) drops the
+parent's pool, whose threads it does not have, and makes its own. With
+one usable CPU, and for a batch that fits one tile, the caller's thread
+does the work.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -42,7 +58,36 @@ class Kernel(enum.Enum):
 # covers rounding in the bound below
 _ZERO_Z2 = 1600.0
 _TILE_POINTS = 64       # query points per tile
-_TILE_FLOATS = 1 << 22  # cap on center-point pairs per tile
+_TILE_FLOATS = 1 << 22  # cap on center-point pairs in flight
+
+
+# threads that share the tiles of one sum: the CPUs this process may use
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no sched_getaffinity on this platform
+    _WORKERS = os.cpu_count() or 1
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child has the parent's pool object but none of its threads,
+    # so work sent to it would never run
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # where there is no fork, no hook
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _thread_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS,
+                                       thread_name_prefix="kernel-sum")
+        return _pool
 
 
 def _tiles(points: np.ndarray, size: int):
@@ -99,11 +144,11 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     over a centers × points block with ``z**2`` summed in dimension order.
     A batch that fits one tile of ``_TILE_POINTS`` points and
     ``_TILE_FLOATS`` center-point pairs is one block. A larger one is
-    taken in spatially sorted tiles, and each tile skips every center
-    whose scaled distance to the tile's bounding box exceeds
-    ``sqrt(_ZERO_Z2)``: its kernel is exactly 0.0 at each of the tile's
-    points, and adding 0.0 would not change the sum. So a point's value
-    is the same bits in any batch or tile.
+    taken in spatially sorted tiles, shared among one thread per usable
+    CPU, and each tile skips every center whose scaled distance to the
+    tile's bounding box exceeds ``sqrt(_ZERO_Z2)``: its kernel is exactly
+    0.0 at each of the tile's points, and adding 0.0 would not change the
+    sum. So a point's value is the same bits in any batch, tile or thread.
     """
     m = centers.shape[0]
     scale = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
@@ -113,12 +158,33 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     # about as much as its kernels
     if points.shape[0] <= size:
         return _tile_sum(points, centers, scale, weights)
+    workers = _WORKERS
+    tiles = _tiles(points, max(1, min(_TILE_POINTS,
+                                      _TILE_FLOATS // (workers * max(m, 1)))))
     out = np.empty(points.shape[0])
-    for rows in _tiles(points, size):
-        x = points[rows]
-        near = _within_reach(x, centers, scale)
-        out[rows] = _tile_sum(x, centers[near], scale[near], weights[near])
+    share = (points, centers, scale, weights, out, np.geterr(),
+             np.geterrcall())
+    if workers == 1:
+        _share_sum(tiles, *share)
+        return out
+    pool = _thread_pool()
+    futures = [pool.submit(_share_sum, tiles[i::workers], *share)
+               for i in range(min(workers, len(tiles)))]
+    wait(futures)
+    for future in futures:
+        future.result()  # raises a share's exception in the caller
     return out
+
+
+def _share_sum(tiles, points, centers, scale, weights, out, settings, call):
+    """Write the sum at the rows of each of ``tiles`` into ``out``, under
+    the caller's floating-point error ``settings`` and ``call``back."""
+    with np.errstate(call=call, **settings):
+        for rows in tiles:
+            x = points[rows]
+            near = _within_reach(x, centers, scale)
+            out[rows] = _tile_sum(x, centers[near], scale[near],
+                                  weights[near])
 
 
 class TreeProposal:

@@ -1,12 +1,19 @@
 """Benchmark harness tests: seeding, rows, CSV/SVG output, CLI wiring."""
 
+import dataclasses
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpais
 from tpais.bench import (CSV_COLUMNS, DEFAULT_SAMPLE_COUNTS, METHODS,
                          ExperimentSpec, ResultRow, derive_seed, emit_csv,
                          run_experiments, run_single)
@@ -179,13 +186,65 @@ def test_parallel_matches_sequential():
                           base_seed=8, jsd_points=300)
     seq = run_experiments(spec, clock=_ZERO_CLOCK)
     par = run_experiments(spec, workers=2)
-    assert len(seq) == len(par)
-    for a, b in zip(seq, par):
-        assert (a.method, a.family, a.dims, a.n, a.trial, a.seed) == \
-               (b.method, b.family, b.dims, b.n, b.trial, b.seed)
-        assert a.ness == b.ness and a.jsd == b.jsd
-        assert (a.evidence_mse == b.evidence_mse
-                or (math.isnan(a.evidence_mse) and math.isnan(b.evidence_mse)))
+    assert [dataclasses.replace(r, wall_time_seconds=0.0) for r in par] == seq
+
+
+# A forked worker inherits the kernel sum's thread pool object but none of
+# its threads: without the fork hook, its first tiled sum waits forever.
+_FORK_AFTER_POOLED_SUM = textwrap.dedent("""
+    import dataclasses
+    import multiprocessing
+
+    import numpy as np
+
+    from tpais import proposal
+    from tpais.bench import ExperimentSpec, run_experiments
+
+    multiprocessing.set_start_method("fork")
+    proposal._WORKERS = 2  # a pool even where one CPU is usable
+    rng = np.random.default_rng(0)
+    proposal.gaussian_kernel_sum(rng.uniform(-1.0, 1.0, (1000, 1)),
+                                 rng.uniform(-1.0, 1.0, (50, 1)), 0.1, 1.0)
+    spec = ExperimentSpec(methods=("mh",), families=("normal", "gmm5"),
+                          dims=(1,), sample_counts=(128,), trials=2,
+                          base_seed=4, jsd_points=500)
+    par = run_experiments(spec, workers=2)
+    seq = run_experiments(spec, clock=lambda: 0.0)
+    assert [dataclasses.replace(r, wall_time_seconds=0.0)
+            for r in par] == seq
+    assert all(r.error is None for r in seq)
+    print("rows match")
+""")
+
+
+def test_forked_workers_after_a_pooled_sum_match_sequential_rows():
+    src = str(Path(tpais.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # a session of its own, so that a hang is ended with its forked workers
+    proc = subprocess.Popen([sys.executable, "-c", _FORK_AFTER_POOLED_SUM],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_experiments(workers=2) hung after a pooled sum")
+    assert proc.returncode == 0, err
+    assert out.strip() == "rows match"
+
+
+def test_rows_compare_nan_fields_by_value():
+    a = ResultRow("mh", "normal", 1, 16, 0, 7, 0.5, 0.1, math.nan, 0.0)
+    b = ResultRow("mh", "normal", 1, 16, 0, 7, 0.5, 0.1, float("nan"), 0.0)
+    assert a.evidence_mse is not b.evidence_mse and a == b
+    assert dataclasses.replace(a, jsd=np.float64("nan")) == \
+        dataclasses.replace(b, jsd=float("nan"))
+    assert a != dataclasses.replace(b, evidence_mse=0.2)
+    assert dataclasses.replace(a, evidence_mse=0.2) != b
+    assert a != dataclasses.replace(a, error="ValueError: x")
 
 
 def test_csv_header_and_layout(tmp_path):

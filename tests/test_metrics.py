@@ -142,13 +142,21 @@ def test_jsd_identical_zero_and_symmetric():
 
 @pytest.mark.parametrize("divergence", [jsd, kl_mc])
 def test_divergence_point_count_is_an_integer(divergence):
+    # the counts ExperimentSpec(jsd_points=...) accepts, by the same parser
     model = GaussianMixture([[0.1]], [[0.04]], [1.0])
-    for n in (0, -3, 2.5, 4.0, True, np.True_, "8", None):
-        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+    for n in (0, -3, 2.5, True, np.True_, None):
+        with pytest.raises(ValueError,
+                           match="n must be a whole number >= 1"):
             divergence(model.density, model.density, BOUNDS_1D, n,
                        np.random.default_rng(6))
-    assert divergence(model.density, model.density, BOUNDS_1D, np.int64(1),
-                      np.random.default_rng(6)) == 0.0
+    other = GaussianMixture([[-0.2]], [[0.09]], [1.0])
+    for n in (np.int64(1), 4.0, "8"):
+        assert divergence(model.density, model.density, BOUNDS_1D, n,
+                          np.random.default_rng(6)) == 0.0
+        assert (divergence(model.density, other.density, BOUNDS_1D, n,
+                           np.random.default_rng(6))
+                == divergence(model.density, other.density, BOUNDS_1D,
+                              int(n), np.random.default_rng(6)))
 
 
 def test_jsd_disjoint_uniforms():

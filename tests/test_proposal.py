@@ -2,7 +2,10 @@
 sampler's mixture-draw helpers, and the pruned Gaussian kernel sum."""
 
 import math
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -448,3 +451,93 @@ def test_all_node_kernel_sum_memory_is_bounded():
         tracemalloc.stop()
     assert density.shape == (len(result.tree),) and np.all(density > 0.0)
     assert peak < 48 * 2 ** 20
+
+
+def one_point_at_a_time(points, centers, scale, weights):
+    return np.concatenate([gaussian_kernel_sum(x[None], centers, scale,
+                                               weights) for x in points])
+
+
+# tile counts (64 points a tile) 2, fewer than 3 workers, then 79, 35, 13,
+# 11 and 47, which neither 2 nor 3 workers share equally; NaN points in 1D
+# leave the batch unsorted, so the pruned 1D case has none
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("dims, n, kde, nans", [
+    (2, 65, True, 3), (1, 5000, True, 3), (1, 2200, False, 0),
+    (2, 800, False, 3), (3, 700, True, 3), (3, 3000, False, 3)])
+def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
+        monkeypatch, dims, n, kde, nans, workers):
+    rng = np.random.default_rng(derive_seed("pooled", dims, n, kde))
+    points = rng.uniform(-1.0, 1.0, (n, dims))
+    points[rng.choice(n, nans, replace=False), rng.integers(dims)] = np.nan
+    m = 150
+    centers = rng.uniform(-1.0, 1.0, (m, dims))
+    if kde:  # one bandwidth whose reach spans the domain
+        scale, weights = 0.05, 1.0 / m
+    else:  # narrow leaves of uneven size, as in a deep tree
+        scale = 10.0 ** rng.uniform(-3.0, -1.5, m)
+        weights = rng.uniform(0.1, 10.0, m)
+    tiles = proposal._tiles(points, proposal._TILE_POINTS)
+    assert n == 65 or len(tiles) % 6 in (1, 5)
+    kept = sum(proposal._within_reach(points[rows], centers,
+                                      np.broadcast_to(scale, (m,))).size
+               for rows in tiles)
+    share = kept / (len(tiles) * m)  # of the center-point pairs computed
+    assert share > 0.9 if kde else share < 2 / 3
+    monkeypatch.setattr(proposal, "_WORKERS", workers)
+    pooled = gaussian_kernel_sum(points, centers, scale, weights)
+    assert np.isnan(pooled).sum() == nans
+    np.testing.assert_array_equal(
+        pooled, one_point_at_a_time(points, centers, scale, weights))
+    monkeypatch.setattr(proposal, "_WORKERS", 1)
+    np.testing.assert_array_equal(
+        pooled, gaussian_kernel_sum(points, centers, scale, weights))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_kernel_sum_keeps_the_callers_error_settings(monkeypatch,
+                                                            workers):
+    # a point and a center at +inf: inf - inf in the last tile's terms
+    points = np.linspace(-1.0, 1.0, 200)[:, None]
+    points[7] = np.inf
+    centers = np.array([[0.0], [np.inf]])
+    monkeypatch.setattr(proposal, "_WORKERS", workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            gaussian_kernel_sum(points, centers, 0.1, 1.0)
+        with np.errstate(invalid="ignore"):
+            quiet = gaussian_kernel_sum(points, centers, 0.1, 1.0)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        gaussian_kernel_sum(points, centers, 0.1, 1.0)
+    assert np.isnan(quiet[7]) and np.all(np.delete(quiet, 7) > 0.0)
+    np.testing.assert_array_equal(
+        np.delete(quiet, 7),
+        one_point_at_a_time(np.delete(points, 7, axis=0), centers[:1],
+                            0.1, 1.0))
+
+
+def test_concurrent_pooled_sums_with_more_threads_than_cpus(monkeypatch):
+    rng = np.random.default_rng(derive_seed("concurrent sums"))
+    points = rng.uniform(-1.0, 1.0, (700, 2))
+    centers = rng.uniform(-1.0, 1.0, (80, 2))
+    scale = 10.0 ** rng.uniform(-2.0, -0.5, 80)
+    monkeypatch.setattr(proposal, "_WORKERS", 1)
+    expected = [gaussian_kernel_sum(points[i::3], centers, scale, 1.0)
+                for i in range(3)]
+    # a fresh pool of 5 threads, made while 6 callers race for it
+    monkeypatch.setattr(proposal, "_WORKERS", 5)
+    monkeypatch.setattr(proposal, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as callers:
+            futures = [callers.submit(gaussian_kernel_sum, points[i % 3::3],
+                                      centers, scale, 1.0)
+                       for i in range(24)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        proposal._pool.shutdown()
+    for i, result in enumerate(results):
+        np.testing.assert_array_equal(result, expected[i % 3])
