@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
+from . import proposal
 from .baselines import MHConfig, PMCConfig, run_mh, run_pmc
 from .metrics import LN2, KDEModel, ess_mcmc, evidence_estimate, jsd, ness_is
 from .proposal import Kernel, TreeProposal
@@ -239,6 +240,12 @@ def _run_task(args):
     return run_single(spec, *task)
 
 
+def _one_thread_per_sum():
+    # the worker processes already share out the CPUs: threads of their
+    # kernel sums would only contend for them
+    proposal._WORKERS = 1
+
+
 def run_experiments(spec: ExperimentSpec, clock=time.perf_counter,
                     workers: int = 1) -> list:
     """Run the full matrix and return rows in deterministic order.
@@ -248,7 +255,8 @@ def run_experiments(spec: ExperimentSpec, clock=time.perf_counter,
     """
     tasks = _task_list(spec)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_thread_per_sum) as pool:
             rows = list(pool.map(_run_task, [(spec, t) for t in tasks],
                                  chunksize=4))
     else:

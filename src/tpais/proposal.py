@@ -21,26 +21,28 @@ domain skips almost nothing: there the tiles only keep each block small,
 and the sort and the box tests are overhead.
 
 Since no tile's values depend on another tile, the sorted tiles are dealt
-out in turn (``tiles[i::k]``) to one thread per CPU the process may run
-on, and each thread writes its own rows of the result: NumPy releases the
-interpreter lock inside the ufuncs and reductions of a tile, so the
-threads overlap, and the result is the same bits as one thread's. The
-threads share the cap on center-point pairs in flight, each taking tiles
-of at most ``_TILE_FLOATS // k`` pairs, and they run under the caller's
-floating-point error settings. The pool is made on first use, and a
-forked child (as in ``bench.run_experiments(workers > 1)``) drops the
-parent's pool, whose threads it does not have, and makes its own. With
-one usable CPU, and for a batch that fits one tile, the caller's thread
-does the work.
+out in turn (``tiles[i::k]``) to k threads, and each thread writes its
+own rows of the result: NumPy releases the interpreter lock inside the
+ufuncs and reductions of a tile, so the threads overlap, and the result
+is the same bits as one thread's. k is the number of CPUs the process may
+use, at most ``_MAX_WORKERS`` and at most the batch's full tiles. Threads
+pay only where a tile's blocks are large (``_THREAD_PAIRS``): against few
+centers the interpreter steps between NumPy calls, which hold the lock,
+cost more than the threads save. The tiles in flight share the cap on
+center-point pairs, so past ``_TILE_FLOATS // (k * size)`` centers fewer
+threads take part, and the tiles keep their size. The threads run under
+the caller's floating-point error settings and end with the call, so a
+forked child (as in ``bench.run_experiments(workers > 1)``) inherits no
+pool whose threads it lacks.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,35 +61,16 @@ class Kernel(enum.Enum):
 _ZERO_Z2 = 1600.0
 _TILE_POINTS = 64       # query points per tile
 _TILE_FLOATS = 1 << 22  # cap on center-point pairs in flight
+_THREAD_PAIRS = 1 << 15  # least center-point pairs a tile needs for threads
 
 
-# threads that share the tiles of one sum: the CPUs this process may use
+# threads that share the tiles of one sum: the CPUs this process may use,
+# at most _MAX_WORKERS (an affinity mask does not show a CPU quota)
+_MAX_WORKERS = 8
 try:
-    _WORKERS = len(os.sched_getaffinity(0))
+    _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
 except AttributeError:  # no sched_getaffinity on this platform
-    _WORKERS = os.cpu_count() or 1
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    # a forked child has the parent's pool object but none of its threads,
-    # so work sent to it would never run
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # where there is no fork, no hook
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _thread_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS,
-                                       thread_name_prefix="kernel-sum")
-        return _pool
+    _WORKERS = min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
 def _tiles(points: np.ndarray, size: int):
@@ -144,8 +127,8 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     over a centers × points block with ``z**2`` summed in dimension order.
     A batch that fits one tile of ``_TILE_POINTS`` points and
     ``_TILE_FLOATS`` center-point pairs is one block. A larger one is
-    taken in spatially sorted tiles, shared among one thread per usable
-    CPU, and each tile skips every center whose scaled distance to the
+    taken in spatially sorted tiles, shared among threads where they pay,
+    and each tile skips every center whose scaled distance to the
     tile's bounding box exceeds ``sqrt(_ZERO_Z2)``: its kernel is exactly
     0.0 at each of the tile's points, and adding 0.0 would not change the
     sum. So a point's value is the same bits in any batch, tile or thread.
@@ -158,21 +141,25 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     # about as much as its kernels
     if points.shape[0] <= size:
         return _tile_sum(points, centers, scale, weights)
-    workers = _WORKERS
-    tiles = _tiles(points, max(1, min(_TILE_POINTS,
-                                      _TILE_FLOATS // (workers * max(m, 1)))))
+    tiles = _tiles(points, size)
+    # threads pay only where a tile's blocks are large; each takes at least
+    # one full tile, and the threads' tiles in flight share the cap on pairs
+    workers = 1
+    if size * m >= _THREAD_PAIRS:
+        workers = min(_WORKERS, points.shape[0] // size,
+                      _TILE_FLOATS // (size * m))
     out = np.empty(points.shape[0])
-    share = (points, centers, scale, weights, out, np.geterr(),
-             np.geterrcall())
-    if workers == 1:
-        _share_sum(tiles, *share)
+    share = functools.partial(_share_sum, points=points, centers=centers,
+                              scale=scale, weights=weights, out=out,
+                              settings=np.geterr(), call=np.geterrcall())
+    if workers <= 1:
+        share(tiles)
         return out
-    pool = _thread_pool()
-    futures = [pool.submit(_share_sum, tiles[i::workers], *share)
-               for i in range(min(workers, len(tiles)))]
-    wait(futures)
-    for future in futures:
-        future.result()  # raises a share's exception in the caller
+    # a pool per call: its threads end with the call, so a forked child
+    # inherits none that it lacks
+    with ThreadPoolExecutor(workers, thread_name_prefix="kernel-sum") as pool:
+        for _ in pool.map(share, [tiles[i::workers] for i in range(workers)]):
+            pass  # a share's exception is raised here, in the caller
     return out
 
 

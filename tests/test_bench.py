@@ -189,11 +189,13 @@ def test_parallel_matches_sequential():
     assert [dataclasses.replace(r, wall_time_seconds=0.0) for r in par] == seq
 
 
-# A forked worker inherits the kernel sum's thread pool object but none of
-# its threads: without the fork hook, its first tiled sum waits forever.
+# A forked worker has none of its parent's threads: a thread pool kept
+# from a tiled sum in the parent would make the child's first threaded sum
+# wait forever.
 _FORK_AFTER_POOLED_SUM = textwrap.dedent("""
     import dataclasses
     import multiprocessing
+    import threading
 
     import numpy as np
 
@@ -201,14 +203,27 @@ _FORK_AFTER_POOLED_SUM = textwrap.dedent("""
     from tpais.bench import ExperimentSpec, run_experiments
 
     multiprocessing.set_start_method("fork")
-    proposal._WORKERS = 2  # a pool even where one CPU is usable
+    proposal._WORKERS = 2  # threads even where one CPU is usable,
+    proposal._THREAD_PAIRS = 0  # and for few centers
     rng = np.random.default_rng(0)
-    proposal.gaussian_kernel_sum(rng.uniform(-1.0, 1.0, (1000, 1)),
-                                 rng.uniform(-1.0, 1.0, (50, 1)), 0.1, 1.0)
+    args = (rng.uniform(-1.0, 1.0, (1000, 1)),
+            rng.uniform(-1.0, 1.0, (50, 1)), 0.1, 1.0)
+    here = proposal.gaussian_kernel_sum(*args)
+    with multiprocessing.Pool(1) as pool:  # threads of the child's own
+        assert np.array_equal(pool.apply(proposal.gaussian_kernel_sum, args),
+                              here)
     spec = ExperimentSpec(methods=("mh",), families=("normal", "gmm5"),
                           dims=(1,), sample_counts=(128,), trials=2,
                           base_seed=4, jsd_points=500)
+    share_sum = proposal._share_sum
+
+    def on_one_thread(tiles, **kwargs):
+        assert threading.current_thread() is threading.main_thread()
+        share_sum(tiles, **kwargs)
+
+    proposal._share_sum = on_one_thread  # as the worker processes should
     par = run_experiments(spec, workers=2)
+    proposal._share_sum = share_sum
     seq = run_experiments(spec, clock=lambda: 0.0)
     assert [dataclasses.replace(r, wall_time_seconds=0.0)
             for r in par] == seq
@@ -231,7 +246,7 @@ def test_forked_workers_after_a_pooled_sum_match_sequential_rows():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("run_experiments(workers=2) hung after a pooled sum")
+        pytest.fail("a forked child hung after a threaded sum in its parent")
     assert proc.returncode == 0, err
     assert out.strip() == "rows match"
 

@@ -3,6 +3,7 @@ sampler's mixture-draw helpers, and the pruned Gaussian kernel sum."""
 
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -458,19 +459,21 @@ def one_point_at_a_time(points, centers, scale, weights):
                                                weights) for x in points])
 
 
-# tile counts (64 points a tile) 2, fewer than 3 workers, then 79, 35, 13,
-# 11 and 47, which neither 2 nor 3 workers share equally; NaN points in 1D
-# leave the batch unsorted, so the pruned 1D case has none
+# tile counts (64 points a tile) 2, with one full tile, so the caller's
+# thread alone; 3, with 2 full tiles, so 2 threads for either worker count;
+# then 79, 35, 13, 11 and 47, which neither 2 nor 3 workers share equally.
+# NaN points in 1D leave the batch unsorted, so the pruned 1D case has none
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("dims, n, kde, nans", [
-    (2, 65, True, 3), (1, 5000, True, 3), (1, 2200, False, 0),
-    (2, 800, False, 3), (3, 700, True, 3), (3, 3000, False, 3)])
+    (2, 65, True, 3), (2, 129, True, 3), (1, 5000, True, 3),
+    (1, 2200, False, 0), (2, 800, False, 3), (3, 700, True, 3),
+    (3, 3000, False, 3)])
 def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
         monkeypatch, dims, n, kde, nans, workers):
     rng = np.random.default_rng(derive_seed("pooled", dims, n, kde))
     points = rng.uniform(-1.0, 1.0, (n, dims))
     points[rng.choice(n, nans, replace=False), rng.integers(dims)] = np.nan
-    m = 150
+    m = 1100  # enough for a tile's block to be worth threads
     centers = rng.uniform(-1.0, 1.0, (m, dims))
     if kde:  # one bandwidth whose reach spans the domain
         scale, weights = 0.05, 1.0 / m
@@ -478,14 +481,25 @@ def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
         scale = 10.0 ** rng.uniform(-3.0, -1.5, m)
         weights = rng.uniform(0.1, 10.0, m)
     tiles = proposal._tiles(points, proposal._TILE_POINTS)
-    assert n == 65 or len(tiles) % 6 in (1, 5)
+    assert n in (65, 129) or len(tiles) % 6 in (1, 5)
     kept = sum(proposal._within_reach(points[rows], centers,
                                       np.broadcast_to(scale, (m,))).size
                for rows in tiles)
     share = kept / (len(tiles) * m)  # of the center-point pairs computed
     assert share > 0.9 if kde else share < 2 / 3
     monkeypatch.setattr(proposal, "_WORKERS", workers)
+    threads = []  # the thread that ran each share
+    share_sum = proposal._share_sum
+
+    def recorded(tiles, **kwargs):
+        threads.append(threading.current_thread().name)
+        share_sum(tiles, **kwargs)
+
+    monkeypatch.setattr(proposal, "_share_sum", recorded)
     pooled = gaussian_kernel_sum(points, centers, scale, weights)
+    assert len(threads) == min(workers, n // 64)
+    caller = threading.current_thread().name
+    assert all((name == caller) == (n < 128) for name in threads)
     assert np.isnan(pooled).sum() == nans
     np.testing.assert_array_equal(
         pooled, one_point_at_a_time(points, centers, scale, weights))
@@ -502,6 +516,7 @@ def test_pooled_kernel_sum_keeps_the_callers_error_settings(monkeypatch,
     points[7] = np.inf
     centers = np.array([[0.0], [np.inf]])
     monkeypatch.setattr(proposal, "_WORKERS", workers)
+    monkeypatch.setattr(proposal, "_THREAD_PAIRS", 0)  # threads for 2 centers
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="invalid value"):
@@ -525,9 +540,9 @@ def test_concurrent_pooled_sums_with_more_threads_than_cpus(monkeypatch):
     monkeypatch.setattr(proposal, "_WORKERS", 1)
     expected = [gaussian_kernel_sum(points[i::3], centers, scale, 1.0)
                 for i in range(3)]
-    # a fresh pool of 5 threads, made while 6 callers race for it
+    # 6 callers at once, each sharing its tiles among threads of its own
     monkeypatch.setattr(proposal, "_WORKERS", 5)
-    monkeypatch.setattr(proposal, "_pool", None)
+    monkeypatch.setattr(proposal, "_THREAD_PAIRS", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -538,6 +553,5 @@ def test_concurrent_pooled_sums_with_more_threads_than_cpus(monkeypatch):
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-        proposal._pool.shutdown()
     for i, result in enumerate(results):
         np.testing.assert_array_equal(result, expected[i % 3])
