@@ -75,11 +75,13 @@ except AttributeError:  # no sched_getaffinity on this platform
 
 def _tiles(points: np.ndarray, size: int):
     """Row indices of ``points`` in consecutive tiles of at most ``size``,
-    sorted by the cell of a grid over their bounding box with about
-    ``size`` points per cell, so that each tile's points lie together."""
+    sorted by the cell of a grid over the bounding box of their finite
+    coordinates with about ``size`` points per cell, so that each tile's
+    points lie together."""
     n, dims = points.shape
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
+    finite = np.isfinite(points)
+    lo = np.where(finite, points, np.inf).min(axis=0)
+    span = np.where(finite, points, -np.inf).max(axis=0) - lo
     cells = max(1, round((n / size) ** (1.0 / dims)))
     per_unit = np.divide(cells, span, out=np.zeros(dims), where=span > 0.0)
     with np.errstate(invalid="ignore"):  # a non-finite point sorts anywhere

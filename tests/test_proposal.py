@@ -462,7 +462,7 @@ def one_point_at_a_time(points, centers, scale, weights):
 # tile counts (64 points a tile) 2, with one full tile, so the caller's
 # thread alone; 3, with 2 full tiles, so 2 threads for either worker count;
 # then 79, 35, 13, 11 and 47, which neither 2 nor 3 workers share equally.
-# NaN points in 1D leave the batch unsorted, so the pruned 1D case has none
+# (NaN points in a pruned 1D batch: test_nan_points_leave_the_tiles_pruned)
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("dims, n, kde, nans", [
     (2, 65, True, 3), (2, 129, True, 3), (1, 5000, True, 3),
@@ -506,6 +506,32 @@ def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
     monkeypatch.setattr(proposal, "_WORKERS", 1)
     np.testing.assert_array_equal(
         pooled, gaussian_kernel_sum(points, centers, scale, weights))
+
+
+def test_nan_points_leave_the_tiles_pruned(monkeypatch):
+    # the grid spans the finite coordinates, so the NaN rows sort last and
+    # cost about one tile that keeps every center (a NaN box reaches all)
+    rng = np.random.default_rng(derive_seed("nan tiles"))
+    points = rng.uniform(-1.0, 1.0, (2200, 1))
+    centers = rng.uniform(-1.0, 1.0, (150, 1))
+    scale = 10.0 ** rng.uniform(-3.0, -1.5, 150)
+    weights = rng.uniform(0.1, 10.0, 150)
+    within_reach, kept = proposal._within_reach, []
+
+    def counted(x, centers, scale):
+        near = within_reach(x, centers, scale)
+        kept.append(near.size)
+        return near
+
+    monkeypatch.setattr(proposal, "_within_reach", counted)
+    clean = gaussian_kernel_sum(points, centers, scale, weights)
+    clean_pairs = sum(kept)
+    kept.clear()
+    with_nan = gaussian_kernel_sum(
+        np.vstack([points, np.full((3, 1), np.nan)]), centers, scale, weights)
+    assert abs(sum(kept) - clean_pairs) <= 0.1 * clean_pairs
+    np.testing.assert_array_equal(with_nan[:2200], clean)
+    assert np.isnan(with_nan[2200:]).all()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cube_mixture_density
 from tpais import targets
 from tpais.targets import (EGG_MODE_COORDS, GaussianMixture, make_egg_target,
                            make_gmm5_target, make_normal_target)
@@ -39,10 +42,28 @@ def test_density_batch_matches_single():
     np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(dims=st.integers(1, 7), m=st.integers(1, 40), n=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_density_is_the_cube_formula_bit_for_bit(dims, m, n, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 1.0, m)
+    model = GaussianMixture(rng.uniform(-1.0, 1.0, (m, dims)),
+                            10.0 ** rng.uniform(-4.0, 0.0, (m, dims)),
+                            weights / weights.sum())
+    pts = rng.uniform(-1.5, 1.5, (n, dims))
+    on_mean = rng.integers(n, size=min(n, 3))
+    pts[on_mean] = model.means[rng.integers(m, size=on_mean.size)]
+    np.testing.assert_array_equal(model.density(pts),
+                                  cube_mixture_density(model, pts))
+    point = pts[rng.integers(n)]
+    assert model.density(point) == cube_mixture_density(model, point)
+
+
 def test_density_blocks_match_one_block(monkeypatch):
-    # 3D egg: 64 components of 3 coordinates, so a cap of 3500 floats gives
-    # blocks of 18 rows (1000 % 18 != 0); each block's comp @ weights may
-    # round differently
+    # 3D egg: 64 components, so a cap of 3500 floats in a block's two
+    # (rows, 64) arrays gives blocks of 3500 // 128 = 27 rows
+    # (1000 % 27 != 0); each block's comp @ weights may round differently
     model = make_egg_target(3).model
     pts = np.random.default_rng(2).uniform(-1, 1, size=(1000, 3))
     one_block = model.density(pts)
@@ -52,8 +73,8 @@ def test_density_blocks_match_one_block(monkeypatch):
 
 
 def test_density_block_memory_is_bounded():
-    # 7D egg: 16384 components of 7 coordinates. A block of (rows, m, K)
-    # differences holds at most 2**22 floats (32 MiB), whatever the number
+    # 7D egg: 16384 components. A block's two (rows, m) arrays hold at
+    # most 2**22 floats (32 MiB) together, 128 rows, whatever the number
     # of points, so the peak stays near that.
     model = make_egg_target(7).model
     pts = np.random.default_rng(4).uniform(-1, 1, size=(768, 7))
