@@ -5,7 +5,7 @@ from .bench import (ExperimentSpec, derive_seed, emit_csv, run_experiments,
                     run_single)
 from .metrics import (KDEModel, ess_is, ess_mcmc, evidence_estimate,
                       evidence_mse, expectation_estimate, jsd, kde_density,
-                      kl_mc, ness_is)
+                      ness_is)
 from .plots import emit_plots
 from .proposal import Kernel, TreeProposal
 from .sampler import (NodeSelection, SamplerConfig, TPAISResult, Weighting,
@@ -24,7 +24,7 @@ __all__ = [
     "TreePyramid", "WeightedSampleSet", "Weighting", "derive_seed", "emit_csv",
     "emit_plots", "ess_is", "ess_mcmc", "evidence_estimate",
     "evidence_from_tree", "evidence_mse", "expectation_estimate", "jsd",
-    "kde_density", "kl_mc", "leaf_sample_set", "make_egg_target",
+    "kde_density", "leaf_sample_set", "make_egg_target",
     "make_gmm5_target", "make_normal_target", "ness_is", "run_experiments",
     "run_mh", "run_pmc", "run_single", "run_tp_ais",
 ]

@@ -76,12 +76,12 @@ def main(argv=None) -> int:
     try:
         spec = spec_from_args(args)
         workers = _count("workers", args.workers)
+        os.makedirs(args.out_dir, exist_ok=True)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     rows = run_experiments(spec, workers=workers)
-    os.makedirs(args.out_dir, exist_ok=True)
     written = []
     if args.format in ("csv", "both"):
         csv_path = os.path.join(args.out_dir, "results.csv")

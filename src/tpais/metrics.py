@@ -1,8 +1,8 @@
 """Sample-quality metrics: effective sample sizes, divergences, evidence.
 
-Divergences are Monte Carlo estimates over uniform draws on the domain,
-scaled by the domain volume so they approximate the corresponding
-integrals. Effective sample size comes in two flavors: the importance
+The Jensen-Shannon divergence is a Monte Carlo estimate over uniform
+draws on the domain, scaled by the domain volume so it approximates the
+integral. Effective sample size comes in two flavors: the importance
 sampling form based on normalized weights, and the MCMC form based on
 integrated autocorrelation with Geyer-style truncation.
 """
@@ -93,31 +93,6 @@ def ess_mcmc(chain) -> float:
     return float(min(max(ess_min, 1.0), n))
 
 
-def _uniform_points(bounds: DomainBounds, n, rng: np.random.Generator):
-    n = _count("n", n)
-    return rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.dims))
-
-
-def kl_mc(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
-    """Monte Carlo KL divergence ``integral p * log(p / q)`` over the domain.
-
-    Uses ``n`` uniform draws scaled by the domain volume. Points where
-    ``p == 0`` contribute zero; any point with ``p > 0`` and ``q == 0``
-    makes the divergence infinite. A density that breaks the target
-    contract (finite, non-negative, shape (n,)), or an ``n`` that is not
-    a count >= 1 as ``ExperimentSpec(jsd_points=...)`` reads one (a whole
-    number, or a string spelling one), raises ``ValueError``.
-    """
-    pts = _uniform_points(bounds, n, rng)
-    pv, qv = _eval_target(p, pts), _eval_target(q, pts)
-    support = pv > 0.0
-    if np.any(qv[support] <= 0.0):
-        return math.inf
-    terms = np.zeros(len(pts))
-    terms[support] = pv[support] * np.log(pv[support] / qv[support])
-    return float(bounds.volume * terms.mean())
-
-
 def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
     """Monte Carlo Jensen-Shannon divergence between two densities.
 
@@ -126,10 +101,13 @@ def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
     state. The integrand is pointwise non-negative, so the estimate is
     never negative, and the mixture midpoint never vanishes where either
     density is positive, so the estimate is always finite. A density that
-    breaks the target contract, or a bad ``n``, raises ``ValueError``, as
-    in :func:`kl_mc`.
+    breaks the target contract (finite, non-negative, shape (n,)), or an
+    ``n`` that is not a count >= 1 as ``ExperimentSpec(jsd_points=...)``
+    reads one (a whole number, or a string spelling one), raises
+    ``ValueError``.
     """
-    pts = _uniform_points(bounds, n, rng)
+    pts = rng.uniform(bounds.lower, bounds.upper,
+                      size=(_count("n", n), bounds.dims))
     pv, qv = _eval_target(p, pts), _eval_target(q, pts)
     mid = 0.5 * (pv + qv)
     terms = np.zeros(len(pts))

@@ -271,9 +271,13 @@ class TreePyramid:
         """Split the leaf at row ``row`` into its 2**K children and return
         the row of the first; the children take consecutive rows.
 
-        Raises ``ValueError`` for a row that is not a leaf of this tree and
-        ``DepthLimitError`` when the child level would exceed ``MAX_DEPTH``.
+        Raises ``TypeError`` for a row that is not an integer (booleans
+        are not rows), ``ValueError`` for a row that is not a leaf of this
+        tree and ``DepthLimitError`` when the child level would exceed
+        ``MAX_DEPTH``.
         """
+        if isinstance(row, (bool, np.bool_)):
+            raise TypeError(f"a row must be an integer, got {row!r}")
         i = operator.index(row)
         if not (0 <= i < self._size and self.first_child[i] < 0):
             raise ValueError(f"row {i} is not a leaf of this tree")

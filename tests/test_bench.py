@@ -191,11 +191,10 @@ def test_parallel_matches_sequential():
 
 # A forked worker has none of its parent's threads: a thread pool kept
 # from a tiled sum in the parent would make the child's first threaded sum
-# wait forever.
+# wait forever. The workers inherit the two threads per sum set below.
 _FORK_AFTER_POOLED_SUM = textwrap.dedent("""
     import dataclasses
     import multiprocessing
-    import threading
 
     import numpy as np
 
@@ -215,15 +214,7 @@ _FORK_AFTER_POOLED_SUM = textwrap.dedent("""
     spec = ExperimentSpec(methods=("mh",), families=("normal", "gmm5"),
                           dims=(1,), sample_counts=(128,), trials=2,
                           base_seed=4, jsd_points=500)
-    share_sum = proposal._share_sum
-
-    def on_one_thread(tiles, **kwargs):
-        assert threading.current_thread() is threading.main_thread()
-        share_sum(tiles, **kwargs)
-
-    proposal._share_sum = on_one_thread  # as the worker processes should
     par = run_experiments(spec, workers=2)
-    proposal._share_sum = share_sum
     seq = run_experiments(spec, clock=lambda: 0.0)
     assert [dataclasses.replace(r, wall_time_seconds=0.0)
             for r in par] == seq
@@ -430,6 +421,24 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "2 runs, 0 failed" in captured.out
     assert (out / "results.csv").exists()
     assert (out / "jsd_normal_1d.svg").exists()
+
+
+def test_cli_rejects_an_out_dir_it_cannot_make(tmp_path, capsys,
+                                               monkeypatch):
+    # checked before the matrix runs, so a long matrix loses nothing
+    (tmp_path / "not_a_dir").write_text("")
+    out = tmp_path / "not_a_dir" / "sub"
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the matrix ran")
+
+    monkeypatch.setattr("tpais.cli.run_experiments", no_run)
+    argv = ["--methods", "mh", "--families", "normal", "--dims", "1",
+            "--n-grid", "16", "--trials", "1", "--jsd-points", "100",
+            "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_cli_reports_failures(tmp_path):

@@ -11,8 +11,7 @@ from tpais import proposal
 from tpais.baselines import PMCConfig, run_pmc
 from tpais.metrics import (LN2, KDEModel, ess_is, ess_mcmc, evidence_estimate,
                            evidence_mse, expectation_estimate, jsd,
-                           kde_density, kl_mc, ness_is,
-                           normalized_weights)
+                           kde_density, ness_is, normalized_weights)
 from tpais.proposal import Kernel, TreeProposal
 from tpais.targets import GaussianMixture, make_gmm5_target
 from tpais.tree import DomainBounds
@@ -97,37 +96,6 @@ def test_ess_mcmc_validation_and_multivariate():
     assert ess_mcmc(pair) <= min(ess_mcmc(iid), ess_mcmc(slow)) + 1e-9
 
 
-def test_kl_identical_is_zero():
-    model = GaussianMixture([[0.0]], [[0.04]], [1.0])
-    rng = np.random.default_rng(1)
-    assert kl_mc(model.density, model.density, BOUNDS_1D, 5000, rng) == 0.0
-
-
-def test_kl_uniform_equal_densities():
-    half = lambda x: np.full(np.atleast_2d(x).shape[0], 0.5)
-    rng = np.random.default_rng(2)
-    assert kl_mc(half, half, BOUNDS_1D, 100, rng) == 0.0
-
-
-def test_kl_support_violation_infinite():
-    p = lambda x: np.full(np.atleast_2d(x).shape[0], 0.5)
-    q = lambda x: np.where(np.atleast_2d(x)[:, 0] < 0.0, 1.0, 0.0)
-    rng = np.random.default_rng(3)
-    assert kl_mc(p, q, BOUNDS_1D, 1000, rng) == math.inf
-
-
-def test_kl_matches_quadrature_oracle():
-    p = GaussianMixture([[0.0]], [[0.04]], [1.0])
-    q = GaussianMixture([[0.2]], [[0.04]], [1.0])
-    grid = np.linspace(-1.0, 1.0, 100_001)
-    pv = p.density(grid[:, None])
-    qv = q.density(grid[:, None])
-    oracle = np.trapezoid(pv * np.log(pv / qv), grid)
-    est = kl_mc(p.density, q.density, BOUNDS_1D, 1_000_000,
-                np.random.default_rng(55))
-    assert abs(est - oracle) < 0.02 * oracle
-
-
 def test_jsd_identical_zero_and_symmetric():
     model = GaussianMixture([[0.1]], [[0.04]], [1.0])
     other = GaussianMixture([[-0.2]], [[0.09]], [1.0])
@@ -140,7 +108,7 @@ def test_jsd_identical_zero_and_symmetric():
     assert ab == ba
 
 
-@pytest.mark.parametrize("divergence", [jsd, kl_mc])
+@pytest.mark.parametrize("divergence", [jsd])
 def test_divergence_point_count_is_an_integer(divergence):
     # the counts ExperimentSpec(jsd_points=...) accepts, by the same parser
     model = GaussianMixture([[0.1]], [[0.04]], [1.0])
@@ -193,7 +161,7 @@ def test_jsd_never_negative_fuzz():
         assert 0.0 <= val <= LN2 + 1e-12
 
 
-@pytest.mark.parametrize("divergence", [jsd, kl_mc])
+@pytest.mark.parametrize("divergence", [jsd])
 def test_divergences_enforce_density_contract(divergence):
     model = make_gmm5_target(np.random.default_rng(4), 1).model
     negative = lambda x: -model.density(x)

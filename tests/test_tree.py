@@ -246,8 +246,9 @@ def test_expand_takes_and_returns_rows():
     for row in (0, 3, -1, len(tree)):
         with pytest.raises(ValueError):
             tree.expand(row)
-    with pytest.raises(TypeError):
-        tree.expand(1.0)
+    for row in (1.0, True, np.True_):  # row 1 is a leaf
+        with pytest.raises(TypeError):
+            tree.expand(row)
     assert len(tree) == 9
 
 
