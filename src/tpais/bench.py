@@ -248,9 +248,11 @@ def run_experiments(spec: ExperimentSpec, clock=time.perf_counter,
     """
     tasks = _task_list(spec)
     if workers > 1:
+        # chunks of up to 4 runs, but at least one chunk per worker
+        chunksize = max(1, min(4, len(tasks) // workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_task, [(spec, t) for t in tasks],
-                                 chunksize=4))
+                                 chunksize=chunksize))
     else:
         rows = [run_single(spec, *task, clock=clock) for task in tasks]
     rows.sort(key=lambda r: (r.method, r.family, r.dims, r.n, r.trial))

@@ -142,36 +142,87 @@ def _weights(values, density) -> np.ndarray:
     return values / density
 
 
-def mixture_weights(tree: TreePyramid, leaves) -> np.ndarray:
-    """Normalized selection weights ``w_i * r_i**K`` of the leaves at rows
-    ``leaves``.
+def mixture_weights(tree: TreePyramid, rows) -> np.ndarray:
+    """Selection weights ``w_i * r_i**K`` of the nodes at ``rows`` (an int
+    array or a slice), unnormalized: the slot values of the sampler's sum
+    tree.
 
-    Leaves whose importance weight is unset or zero contribute zero. Raises
-    ``ValueError`` when every leaf does (a degenerate mixture that cannot
-    be drawn from).
+    A node whose importance weight is unset contributes zero. Raises
+    ``ValueError`` unless every value is finite and non-negative.
     """
-    weights = tree.weight.take(leaves)
+    weights = tree.weight[rows]
     vals = (np.where(np.isnan(weights), 0.0, weights)
-            * tree.radii(leaves) ** tree.dims)
+            * tree.radii(rows) ** tree.dims)
     if np.count_nonzero((vals >= 0.0) & (vals < math.inf)) < vals.size:
         raise ValueError("leaf weights must be finite and non-negative")
-    total = vals.sum()
-    if total <= 0.0:
-        raise ValueError("degenerate mixture: every leaf has zero weight")
-    return vals / total
+    return vals
 
 
-def sample_mixture(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a component index by inverse-CDF over ``weights``.
+class _SumTree:
+    """Non-negative slots and their sums, for categorical draws in
+    O(log n) steps (a segment tree).
 
-    Returns the smallest index whose cumulative weight reaches the uniform
-    draw, so ties and zero-weight entries behave deterministically.
+    ``levels[0]`` holds the slots, zero-padded to a power of two; entry
+    ``i`` of ``levels[d + 1]`` is the sum of entries ``2i`` and ``2i + 1``
+    of ``levels[d]``, and ``levels[-1][0]`` is the total. A sum is always
+    recomputed from its two children, never shifted by a difference, so
+    slots that are all zero sum to exactly 0.0. The levels are NumPy
+    arrays as built and lists once ``set`` has grown them, since its
+    scalar steps are faster on lists.
     """
-    weights = np.asarray(weights, dtype=float)
-    cum = np.cumsum(weights)
-    alpha = rng.uniform()
-    idx = int(np.searchsorted(cum, alpha, side="left"))
-    return min(idx, len(weights) - 1)
+
+    def __init__(self, slots=(0.0,)):
+        self._build(np.asarray(slots, dtype=float))
+
+    def _build(self, slots: np.ndarray) -> None:
+        size = 1 << max(len(slots) - 1, 0).bit_length()
+        level = np.zeros(size)
+        level[:len(slots)] = slots
+        self.levels = [level]
+        while len(level) > 1:
+            level = level[0::2] + level[1::2]
+            self.levels.append(level)
+
+    def set(self, first: int, values: list) -> None:
+        """Set the slots from ``first`` on to the floats ``values`` and
+        recompute their sums; the slots double in number as needed."""
+        end = first + len(values)
+        if end > len(self.levels[0]):
+            slots = np.zeros(end)
+            slots[:len(self.levels[0])] = self.levels[0]
+            self._build(slots)
+            self.levels = [level.tolist() for level in self.levels]
+        below = self.levels[0]
+        below[first:end] = values
+        lo, hi = first >> 1, (end - 1) >> 1
+        for level in self.levels[1:]:
+            level[lo] = below[2 * lo] + below[2 * lo + 1]
+            if hi != lo:  # most levels have one sum to redo: skip the range
+                for i in range(lo + 1, hi + 1):
+                    level[i] = below[2 * i] + below[2 * i + 1]
+            lo, hi, below = lo >> 1, hi >> 1, level
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """The slot of one categorical draw, with probability proportional
+        to its value; a zero slot is never drawn.
+
+        Takes one ``rng.uniform()`` and descends from the total: left while
+        the target is below the left sum or the right sum is zero, else
+        right with the left sum taken off the target. Raises ``ValueError``
+        when every slot is zero (a degenerate mixture).
+        """
+        total = self.levels[-1][0]
+        if not total > 0.0:
+            raise ValueError("degenerate mixture: every leaf has zero weight")
+        target = rng.uniform() * total
+        i = 0
+        for level in self.levels[-2::-1]:
+            i *= 2
+            left = level[i]
+            if target >= left and level[i + 1] > 0.0:
+                target -= left
+                i += 1
+        return i
 
 
 def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
@@ -204,10 +255,11 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     the returned set holds the tree's rows in creation order. Max-evidence
     selection then pops the leaf to split from a heap keyed by
     ``(-target_value * radius**K, row)``: the earliest-created leaf wins
-    ties, as ``argmax`` over the insertion-ordered leaves does, and each
-    split costs O(2**K log L). Resampling and mixture draws change every
-    leaf's score or weight in each iteration, so they select over the
-    live-leaf arrays instead.
+    ties, as ``argmax`` over the insertion-ordered leaves does. Mixture
+    draws keep each row's ``weight * radius**K`` (zero once split) in a
+    sum tree and draw by descending it. Either way a split costs
+    O(2**K log N). Resampling changes every leaf's score and weight in
+    each iteration, so it selects over the listed leaves' arrays instead.
     """
     rng = np.random.default_rng(config.seed)
     tree = TreePyramid(config.bounds)
@@ -216,39 +268,51 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     greedy = config.node_selection is NodeSelection.MAX_EVIDENCE
     use_heap = greedy and not config.resample_leaves
     frontier = []  # (-target_value * radius**K, row) of every leaf
+    sums = _SumTree()  # weight * radius**K of every row, 0 once split
+    listed = None  # rows and points of the leaves resampled last
 
     def sample_nodes(rows):
         points, q = proposal.draw(rows, rng)
         values = _eval_target(target, points)
         tree.weight[rows] = _weights(values, q)
-        tree.sample[rows] = points
         tree.target_value[rows] = values
-        return values
+        return points, values
 
     def sample_new(first, count):
-        values = sample_nodes(slice(first, first + count))
+        rows = slice(first, first + count)
+        points, values = sample_nodes(rows)
+        tree.sample[rows] = points
         if use_heap:
             radius_pow = tree.level_radii[tree.level[first]] ** dims
             for row, f in enumerate(values.tolist(), start=first):
                 heapq.heappush(frontier, (-(f * radius_pow), row))
+        return rows
 
     # each split adds 2**K samples, or 2**K - 1 when only leaves are kept
     grown = 2 ** dims - 1 if config.resample_leaves else 2 ** dims
-    sample_new(0, 1)
+    fresh = sample_new(0, 1)
     for _ in range(math.ceil((config.n_samples - 1) / grown)):
         if use_heap:
             chosen = heapq.heappop(frontier)[1]
+        elif not config.resample_leaves:
+            sums.set(fresh.start, mixture_weights(tree, fresh).tolist())
+            chosen = sums.draw(rng)
+            sums.set(chosen, [0.0])
         else:
+            # a leaf's point is written when it is split or the loop ends
             leaves = tree.leaf_indices()
-            if config.resample_leaves:
-                sample_nodes(leaves)
+            points, values = sample_nodes(leaves)
             if greedy:
-                scores = tree.target_value[leaves] * tree.radii(leaves) ** dims
-                chosen = leaves[int(np.argmax(scores))]
+                j = int(np.argmax(values * tree.radii(leaves) ** dims))
             else:
-                weights = mixture_weights(tree, leaves)
-                chosen = leaves[sample_mixture(weights, rng)]
-        sample_new(tree.expand(chosen), 2 ** dims)
+                j = _SumTree(mixture_weights(tree, leaves)).draw(rng)
+            chosen = leaves[j]
+            tree.sample[chosen] = points[j]
+            listed = leaves, points
+        fresh = sample_new(tree.expand(chosen), 2 ** dims)
+
+    if listed is not None:
+        tree.sample[listed[0]] = listed[1]
 
     rows = (tree.leaf_indices() if config.resample_leaves
             else np.arange(len(tree)))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import tpais
+from tpais import bench
 from tpais.bench import (CSV_COLUMNS, DEFAULT_SAMPLE_COUNTS, METHODS,
                          ExperimentSpec, ResultRow, derive_seed, emit_csv,
                          run_experiments, run_single)
@@ -186,6 +187,29 @@ def test_parallel_matches_sequential():
                           base_seed=8, jsd_points=300)
     seq = run_experiments(spec, clock=_ZERO_CLOCK)
     par = run_experiments(spec, workers=2)
+    assert [dataclasses.replace(r, wall_time_seconds=0.0) for r in par] == seq
+
+
+@pytest.mark.parametrize("trials, workers", [(1, 2), (3, 2), (4, 2), (9, 2),
+                                             (4, 3)])
+def test_parallel_runs_give_every_worker_a_chunk(monkeypatch, trials,
+                                                 workers):
+    chunks = []
+
+    class Recording(bench.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            chunks.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Recording)
+    spec = dataclasses.replace(TINY, trials=trials, jsd_points=100)
+    par = run_experiments(spec, workers=workers)
+    (chunksize,) = chunks
+    # up to 4 runs a chunk, and a chunk for each worker when there are
+    # as many runs as workers
+    assert 1 <= chunksize <= 4
+    assert math.ceil(trials / chunksize) >= min(trials, workers)
+    seq = run_experiments(spec, clock=_ZERO_CLOCK)
     assert [dataclasses.replace(r, wall_time_seconds=0.0) for r in par] == seq
 
 

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (component_density, dyadic_midpoint_grid,
-                      grow_random_tree)
+from conftest import (component_density, cumsum_mixture_draw,
+                      dyadic_midpoint_grid, grow_random_tree)
 from tpais import proposal
 from tpais.bench import derive_seed
 from tpais.proposal import Kernel, TreeProposal, gaussian_kernel_sum
-from tpais.sampler import (SamplerConfig, mixture_weights, run_tp_ais,
-                           sample_mixture)
+from tpais.sampler import (SamplerConfig, _SumTree, mixture_weights,
+                           run_tp_ais)
 from tpais.targets import make_gmm5_target
 from tpais.tree import DomainBounds, Node, TreePyramid
 
@@ -244,17 +244,20 @@ def test_sample_leaf_gaussian_moments():
 
 
 def test_mixture_weights_values():
+    # unnormalized w * r**K: both leaves have radius 0.5 in 1D
     tree = TreePyramid(DomainBounds.centered(1))
     tree.expand(0)
     a, b = tree.root.children
     leaves = tree.leaf_indices()
     tree.weight[[a.index, b.index]] = 1.0, 1.0
-    np.testing.assert_allclose(mixture_weights(tree, leaves), [0.5, 0.5])
+    np.testing.assert_array_equal(mixture_weights(tree, leaves), [0.5, 0.5])
     tree.weight[[a.index, b.index]] = 3.0, 1.0
-    np.testing.assert_allclose(mixture_weights(tree, leaves), [0.75, 0.25])
-    # only the rows passed are weighed, in the order given
-    np.testing.assert_allclose(mixture_weights(tree, leaves[::-1]),
-                               [0.25, 0.75])
+    np.testing.assert_array_equal(mixture_weights(tree, leaves), [1.5, 0.5])
+    # only the rows passed are weighed, in the order given, also as a slice
+    np.testing.assert_array_equal(mixture_weights(tree, leaves[::-1]),
+                                  [0.5, 1.5])
+    np.testing.assert_array_equal(mixture_weights(tree, slice(1, 3)),
+                                  [1.5, 0.5])
 
 
 def test_mixture_weights_radius_power():
@@ -270,20 +273,21 @@ def test_mixture_weights_radius_power():
     leaves = tree.leaves()
     pair = [leaves.index(big), leaves.index(small)]
     weights = mixture_weights(tree, tree.leaf_indices())
-    np.testing.assert_allclose(weights[pair], [0.8, 0.2])
+    np.testing.assert_array_equal(weights[pair], [0.25, 0.0625])
     assert np.all(np.delete(weights, pair) == 0.0)
 
 
-def test_mixture_weights_normalized_on_random_trees():
+def test_mixture_weights_on_random_trees():
     rng = np.random.default_rng(19)
     for _ in range(20):
         tree = grow_random_tree(int(rng.integers(1, 4)),
                                 int(rng.integers(1, 8)), rng)
         for leaf in tree.leaves():
             tree.weight[leaf.index] = float(rng.uniform(0.0, 5.0))
-        weights = mixture_weights(tree, tree.leaf_indices())
-        assert abs(weights.sum() - 1.0) < 1e-12
-        assert np.all(weights >= 0.0)
+        expected = [tree.weight[leaf.index] * leaf.radius ** tree.dims
+                    for leaf in tree.leaves()]
+        np.testing.assert_array_equal(
+            mixture_weights(tree, tree.leaf_indices()), expected)
 
 
 def test_mixture_weights_unset_contribute_zero():
@@ -291,38 +295,133 @@ def test_mixture_weights_unset_contribute_zero():
     tree.expand(0)
     a, b = tree.root.children
     tree.weight[a.index] = 2.0
-    np.testing.assert_allclose(mixture_weights(tree, tree.leaf_indices()),
-                               [1.0, 0.0])
+    np.testing.assert_array_equal(mixture_weights(tree, tree.leaf_indices()),
+                                  [1.0, 0.0])
 
 
 def test_mixture_weights_degenerate():
+    # weights that are all zero, unset or not, are returned; drawing from
+    # them raises
     tree = TreePyramid(DomainBounds.centered(1))
-    with pytest.raises(ValueError, match="degenerate"):
-        mixture_weights(tree, tree.leaf_indices())
-    tree.weight[0] = 0.0
-    with pytest.raises(ValueError, match="degenerate"):
-        mixture_weights(tree, tree.leaf_indices())
+    for weight in (math.nan, 0.0):
+        tree.weight[0] = weight
+        weights = mixture_weights(tree, tree.leaf_indices())
+        assert weights.tolist() == [0.0]
+        with pytest.raises(ValueError, match="degenerate"):
+            _SumTree(weights).draw(np.random.default_rng(0))
 
 
-def test_sample_mixture_inverse_cdf():
-    assert sample_mixture(np.array([1.0]), _FixedAlpha(0.99)) == 0
-    assert sample_mixture(np.array([0.5, 0.5]), _FixedAlpha(0.3)) == 0
-    assert sample_mixture(np.array([0.5, 0.5]), _FixedAlpha(0.5)) == 0
-    assert sample_mixture(np.array([0.2, 0.3, 0.5]), _FixedAlpha(0.6)) == 2
-    assert sample_mixture(np.array([0.2, 0.3, 0.5]), _FixedAlpha(1.0)) == 2
-    # any positive draw skips zero-weight leading entries
-    assert sample_mixture(np.array([0.0, 1.0]), _FixedAlpha(1e-12)) == 1
+@pytest.mark.parametrize("bad", [-1.0, math.inf])
+def test_mixture_weights_reject_bad_values(bad):
+    tree = TreePyramid(DomainBounds.centered(1))
+    tree.weight[0] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        mixture_weights(tree, slice(0, 1))
 
 
-def test_sample_mixture_frequencies():
-    weights = np.array([0.1, 0.2, 0.3, 0.4])
+def _grown_sums(values):
+    """A ``_SumTree`` given ``values`` one slot at a time, as a run without
+    resampling sets them, so its slots grow by doubling."""
+    sums = _SumTree()
+    for slot, value in enumerate(values):
+        sums.set(slot, [float(value)])
+    return sums
+
+
+_BOTH_PATHS = pytest.mark.parametrize("build", [
+    lambda values: _SumTree(np.asarray(values, dtype=float)), _grown_sums,
+], ids=["rebuilt", "grown"])
+
+
+@_BOTH_PATHS
+def test_sum_tree_draw_fixed_alpha(build):
+    assert build([1.0]).draw(_FixedAlpha(0.99)) == 0
+    assert build([0.5, 0.5]).draw(_FixedAlpha(0.0)) == 0
+    assert build([0.5, 0.5]).draw(_FixedAlpha(0.3)) == 0
+    assert build([0.2, 0.3, 0.5]).draw(_FixedAlpha(0.6)) == 2
+    # a draw at the total lands on the last positive slot, not a padding
+    # or trailing zero slot
+    assert build([0.2, 0.3, 0.5]).draw(_FixedAlpha(1.0)) == 2
+    assert build([0.2, 0.3, 0.5, 0.0, 0.0]).draw(_FixedAlpha(1.0)) == 2
+    # zero-weight leading slots are skipped, also by a draw of exactly 0
+    assert build([0.0, 1.0]).draw(_FixedAlpha(1e-12)) == 1
+    assert build([0.0, 1.0]).draw(_FixedAlpha(0.0)) == 1
+    assert build([0.0, 0.0, 0.0, 2.0, 0.0]).draw(_FixedAlpha(0.0)) == 3
+
+
+def test_sum_tree_draw_skips_the_zero_the_cumsum_clamp_picks():
+    # normalized, these seven weights sum to 1 - 2**-52; the largest draw
+    # below 1 passes every cumulative weight, and the clamp returns the
+    # trailing zero
+    weights = [0.1] * 7 + [0.0]
+    alpha = _FixedAlpha(math.nextafter(1.0, 0.0))
+    assert cumsum_mixture_draw(weights, alpha) == 7
+    assert _SumTree(np.array(weights)).draw(alpha) == 6
+    assert _grown_sums(weights).draw(alpha) == 6
+
+
+@_BOTH_PATHS
+def test_sum_tree_frequencies_match_the_categorical(build):
+    weights = np.array([0.1, 0.0, 0.2, 0.3, 0.0, 0.4])
+    sums = build(weights)
     rng = np.random.default_rng(5)
-    counts = np.zeros(4)
     n = 100_000
-    for _ in range(n):
-        counts[sample_mixture(weights, rng)] += 1
-    chi2 = np.sum((counts - n * weights) ** 2 / (n * weights))
+    counts = np.bincount([sums.draw(rng) for _ in range(n)],
+                         minlength=len(weights))
+    assert counts.sum() == n and counts[weights == 0.0].sum() == 0
+    positive = weights > 0.0
+    expected = n * weights[positive]
+    chi2 = np.sum((counts[positive] - expected) ** 2 / expected)
     assert chi2 < 16.27  # chi-square critical value, 3 dof, alpha 1e-3
+
+
+def test_sum_tree_never_draws_a_zeroed_slot():
+    # as in a run: the drawn slot is zeroed and four new ones appended, one
+    # of them zero; the slots double from 1 to 32 on the way
+    rng = np.random.default_rng(11)
+    sums = _SumTree()
+    sums.set(0, [1.0])
+    live, end = {0}, 1
+    for _ in range(7):
+        chosen = sums.draw(rng)
+        assert chosen in live
+        sums.set(chosen, [0.0])
+        values = rng.uniform(0.5, 1.0, 4)
+        values[1] = 0.0
+        sums.set(end, values.tolist())
+        live = (live - {chosen}) | {end, end + 2, end + 3}
+        end += 4
+        assert {sums.draw(rng) for _ in range(2000)} <= live
+    assert len(sums.levels[0]) == 32
+
+
+@_BOTH_PATHS
+def test_sum_tree_all_zero_is_degenerate(build):
+    with pytest.raises(ValueError, match="degenerate"):
+        build([0.0, 0.0, 0.0]).draw(np.random.default_rng(0))
+    # slots set and then zeroed sum to exactly 0.0: a sum shifted by
+    # differences would keep 0.1 + 0.2 - 0.1 - 0.2 = 5.6e-17
+    sums = build([0.1, 0.2])
+    sums.set(0, [0.0])
+    sums.set(1, [0.0])
+    assert sums.levels[-1][0] == 0.0
+    with pytest.raises(ValueError, match="degenerate"):
+        sums.draw(np.random.default_rng(0))
+
+
+def test_sum_tree_agrees_with_the_cumsum_rule():
+    # the same uniform draw picks the same slot, up to rounding at the
+    # cumulative boundaries, which these seeds never hit
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.0, 1.0, int(rng.integers(1, 40)))
+        weights[rng.uniform(size=weights.size) < 0.3] = 0.0
+        if not weights.any():
+            continue
+        for sums in (_SumTree(weights), _grown_sums(weights)):
+            expected = cumsum_mixture_draw(weights,
+                                           np.random.default_rng(seed))
+            assert sums.draw(np.random.default_rng(seed)) == expected
 
 
 def sequential_kernel_sum(points, centers, scale, weights):

@@ -138,6 +138,15 @@ def test_mixture_draw_degenerate_state_raises():
         run_tp_ais(right_only, cfg)
 
 
+@pytest.mark.parametrize("resample", [False, True],
+                         ids=["mix", "mix-resample"])
+def test_mixture_draw_on_a_zero_target_raises(resample):
+    cfg = SamplerConfig(dims=2, n_samples=32, resample_leaves=resample,
+                        node_selection=NodeSelection.MIXTURE_DRAW)
+    with pytest.raises(ValueError, match="degenerate"):
+        run_tp_ais(lambda x: np.zeros(len(x)), cfg)
+
+
 @pytest.mark.parametrize("selection, resample", [
     (NodeSelection.MIXTURE_DRAW, False), (NodeSelection.MIXTURE_DRAW, True),
     (NodeSelection.MAX_EVIDENCE, False), (NodeSelection.MAX_EVIDENCE, True),
@@ -146,13 +155,16 @@ def test_run_calls_mixture_weights_through_its_module(monkeypatch, selection,
                                                       resample):
     # a caller may replace tpais.sampler.mixture_weights (the benchmark's
     # layer trace does): mixture-draw splits call it through the module,
-    # once per split on the leaves the loop listed; greedy ones never do
+    # once per split, on the rows drawn since the last split (the root,
+    # then each split's children) or, with resampling, on the leaves the
+    # loop listed; greedy splits never call it
     calls = []
 
-    def listed(tree, leaves):
-        calls.append(leaves)
-        np.testing.assert_array_equal(leaves, tree.leaf_indices())
-        return mixture_weights(tree, leaves)
+    def listed(tree, rows):
+        if not isinstance(rows, slice):
+            np.testing.assert_array_equal(rows, tree.leaf_indices())
+        calls.append(np.arange(len(tree))[rows])
+        return mixture_weights(tree, rows)
 
     monkeypatch.setattr(sampler, "mixture_weights", listed)
     target = make_gmm5_target(np.random.default_rng(3), 2)
@@ -160,8 +172,32 @@ def test_run_calls_mixture_weights_through_its_module(monkeypatch, selection,
         dims=2, n_samples=64, node_selection=selection,
         resample_leaves=resample, seed=4))
     splits = (len(result.tree) - 1) // 4
-    mixture = selection is NodeSelection.MIXTURE_DRAW
-    assert len(calls) == (splits if mixture else 0)
+    if selection is NodeSelection.MAX_EVIDENCE:
+        assert calls == []
+    elif resample:
+        # the leaves listed before split s: the root and 3 more per split
+        assert [len(rows) for rows in calls] == [1 + 3 * s
+                                                 for s in range(splits)]
+    else:
+        assert [rows.tolist() for rows in calls] == (
+            [[0]] + [list(range(1 + 4 * s, 5 + 4 * s))
+                     for s in range(splits - 1)])
+
+
+def test_mixture_draw_lists_no_leaves_without_resampling(monkeypatch):
+    calls = []
+    original = TreePyramid.leaf_indices
+
+    def counted(tree):
+        calls.append(len(tree))
+        return original(tree)
+
+    monkeypatch.setattr(TreePyramid, "leaf_indices", counted)
+    target = make_gmm5_target(np.random.default_rng(3), 2)
+    result = run_tp_ais(target, SamplerConfig(
+        dims=2, n_samples=256, seed=4,
+        node_selection=NodeSelection.MIXTURE_DRAW))
+    assert len(result.tree) == 257 and calls == []
 
 
 def test_dm_matches_standard_after_normalizing():
