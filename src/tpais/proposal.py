@@ -220,7 +220,7 @@ class TreeProposal:
         pts, single = _as_batch(x, tree.dims)
         if self.kernel is Kernel.UNIFORM:
             rows = tree.locate(pts)
-            vol = (2.0 * np.array(tree.level_radii)) ** tree.dims
+            vol = (2.0 * tree.level_radius_array) ** tree.dims
             comp = (np.cumsum(1.0 / vol) / len(tree) if every_node
                     else 1.0 / (tree.leaf_indices().size * vol))
             acc = np.where(rows >= 0, comp.take(tree.level.take(rows)),

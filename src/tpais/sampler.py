@@ -260,48 +260,62 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     sum tree and draw by descending it. Either way a split costs
     O(2**K log N). Resampling changes every leaf's score and weight in
     each iteration, so it selects over the listed leaves' arrays instead.
+    With resampling, the rows a split makes are first evaluated in the
+    next listing, which redraws them before any of their values is read;
+    their first draw is only taken from the random stream. The children
+    of the last split, or the root of a run without splits, are evaluated
+    after the loop.
     """
     rng = np.random.default_rng(config.seed)
     tree = TreePyramid(config.bounds)
     proposal = TreeProposal(tree, config.kernel)
     dims = config.dims
+    resample = config.resample_leaves
     greedy = config.node_selection is NodeSelection.MAX_EVIDENCE
-    use_heap = greedy and not config.resample_leaves
+    use_heap = greedy and not resample
     frontier = []  # (-target_value * radius**K, row) of every leaf
     sums = _SumTree()  # weight * radius**K of every row, 0 once split
     listed = None  # rows and points of the leaves resampled last
 
-    def sample_nodes(rows):
-        points, q = proposal.draw(rows, rng)
+    def store(rows, points, q):
         values = _eval_target(target, points)
         tree.weight[rows] = _weights(values, q)
         tree.target_value[rows] = values
-        return points, values
+        return values
 
-    def sample_new(first, count):
-        rows = slice(first, first + count)
-        points, values = sample_nodes(rows)
+    def sample_new(rows):
+        points, q = proposal.draw(rows, rng)
+        values = store(rows, points, q)
         tree.sample[rows] = points
         if use_heap:
-            radius_pow = tree.level_radii[tree.level[first]] ** dims
-            for row, f in enumerate(values.tolist(), start=first):
+            radius_pow = tree.level_radii[tree.level[rows.start]] ** dims
+            for row, f in enumerate(values.tolist(), start=rows.start):
                 heapq.heappush(frontier, (-(f * radius_pow), row))
-        return rows
 
     # each split adds 2**K samples, or 2**K - 1 when only leaves are kept
-    grown = 2 ** dims - 1 if config.resample_leaves else 2 ** dims
-    fresh = sample_new(0, 1)
+    grown = 2 ** dims - 1 if resample else 2 ** dims
+    fresh = slice(0, 1)  # the rows made last: the root, then the children
+    if not resample:
+        sample_new(fresh)
     for _ in range(math.ceil((config.n_samples - 1) / grown)):
         if use_heap:
             chosen = heapq.heappop(frontier)[1]
-        elif not config.resample_leaves:
+        elif not resample:
             sums.set(fresh.start, mixture_weights(tree, fresh).tolist())
             chosen = sums.draw(rng)
             sums.set(chosen, [0.0])
         else:
-            # a leaf's point is written when it is split or the loop ends
+            # the rows made last are listed too: their first draw, never
+            # read, leads this call to keep the random stream and is
+            # dropped. A leaf's point is written when it is split or the
+            # loop ends.
             leaves = tree.leaf_indices()
-            points, values = sample_nodes(leaves)
+            made = fresh.stop - fresh.start
+            points, q = proposal.draw(
+                np.concatenate((np.arange(fresh.start, fresh.stop), leaves)),
+                rng)
+            points, q = points[made:], q[made:]
+            values = store(leaves, points, q)
             if greedy:
                 j = int(np.argmax(values * tree.radii(leaves) ** dims))
             else:
@@ -309,15 +323,20 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
             chosen = leaves[j]
             tree.sample[chosen] = points[j]
             listed = leaves, points
-        fresh = sample_new(tree.expand(chosen), 2 ** dims)
+        first = tree.expand(chosen)
+        fresh = slice(first, first + 2 ** dims)
+        if not resample:
+            sample_new(fresh)
 
-    if listed is not None:
-        tree.sample[listed[0]] = listed[1]
+    if resample:
+        # the last split's children, or the root of a run without splits
+        sample_new(fresh)
+        if listed is not None:
+            tree.sample[listed[0]] = listed[1]
 
-    rows = (tree.leaf_indices() if config.resample_leaves
-            else np.arange(len(tree)))
+    rows = tree.leaf_indices() if resample else np.arange(len(tree))
     return TPAISResult(_stored_set(proposal, rows, config.weighting,
-                                   not config.resample_leaves), tree, config)
+                                   not resample), tree, config)
 
 
 def _stored_set(proposal: TreeProposal, rows, weighting: Weighting,

@@ -201,7 +201,8 @@ class TreePyramid:
     attributes; row ``i`` is node ``i`` and the root is row 0:
 
     - its cell: ``center`` (K,) and ``level``; every cell of one level
-      has the same radius, ``level_radii[level]``;
+      has the same radius, ``level_radii[level]`` (a list of floats, also
+      held as the array ``level_radius_array``);
     - its place in the tree: ``first_child``, the row of its first child
       or -1, so a row is a leaf exactly when ``first_child < 0``;
     - its last draw: ``sample`` (K,), ``target_value`` and ``weight``,
@@ -224,6 +225,7 @@ class TreePyramid:
         self._signs = np.where(np.arange(2 ** self.dims)[:, None] & self._bits,
                                -1.0, 1.0)
         self.level_radii = [bounds.radius]  # radius of each level reached
+        self.level_radius_array = np.array(self.level_radii)
         self._child_offsets = []  # half * signs for the children of a level
         self._size = 0
         for name, per_dim, dtype, fill in _COLUMNS:
@@ -265,7 +267,7 @@ class TreePyramid:
 
     def radii(self, rows) -> np.ndarray:
         """Radius of each node at ``rows`` (an int array or a slice)."""
-        return np.array(self.level_radii).take(self.level[rows])
+        return self.level_radius_array.take(self.level[rows])
 
     def expand(self, row) -> int:
         """Split the leaf at row ``row`` into its 2**K children and return
@@ -289,6 +291,8 @@ class TreePyramid:
         half = self.level_radii[level] / 2.0
         if level + 1 == len(self.level_radii):
             self.level_radii.append(half)
+            self.level_radius_array = np.append(self.level_radius_array,
+                                                half)
             self._child_offsets.append(half * self._signs)
         first = self._append(self.center[i] + self._child_offsets[level],
                              level + 1)

@@ -42,6 +42,11 @@ the sums moved in their last bits only: at most 1.0e-15 relative in the
 Gaussian sampler cases (DM weights and evidence; samples and trees kept
 their bits), 2.9e-15 in the KDE densities, 1.4e-15 in the DM-PMC weights
 (samples and locations kept their bits) and 2.0e-16 in the rows.
+
+"2d-gauss-std-mix-resample" and "3d-std-max-resample" were recorded
+before the resampled loop stopped evaluating the rows that the next
+listing redraws; they pin that the skipped draws keep their place in the
+random stream for the Gaussian kernel, the mixture draw and 3D.
 """
 
 import hashlib
@@ -80,11 +85,13 @@ CASES = {
     "1d-std-max-resample": (1, 64, UNI, STD, MAX, True),
     "2d-std-max-resample": (2, 64, UNI, STD, MAX, True),
     "2d-dm-mix-resample": (2, 40, UNI, DM, MIX, True),
+    "3d-std-max-resample": (3, 64, UNI, STD, MAX, True),
     "1d-gauss-std-max": (1, 200, GAU, STD, MAX, False),
     "2d-gauss-std-max": (2, 200, GAU, STD, MAX, False),
     "2d-gauss-dm-max": (2, 150, GAU, DM, MAX, False),
     "2d-gauss-std-mix": (2, 150, GAU, STD, MIX, False),
     "1d-gauss-std-max-resample": (1, 48, GAU, STD, MAX, True),
+    "2d-gauss-std-mix-resample": (2, 48, GAU, STD, MIX, True),
     "2d-std-max-wide": (2, 200, UNI, STD, MAX, False, 1.051767),
     "3d-dm-mix-wide": (3, 150, UNI, DM, MIX, False, 1.051767),
     "2d-std-max-resample-wide": (2, 48, UNI, STD, MAX, True, 1.051767),
@@ -116,6 +123,8 @@ GOLDEN = {
         "a3b30f8075395942698d688396fc8c4554cbd94fc86e641885698d4cfbc88ad2",
     "2d-gauss-std-mix":
         "d3c22c9d899ccd666d08a31aca46e456ef1d8d963655a944afcb6a115b8d1f14",
+    "2d-gauss-std-mix-resample":
+        "39a2a1703b5a1e845d91b1986b90c6be4953f960e7900e2d7a7e9304d412f5de",
     "2d-std-max":
         "336c5220f3c4b3b44571077804ffb0977ebc719abbed3714c1b7acfe8e7353ee",
     "2d-std-max-resample":
@@ -132,6 +141,8 @@ GOLDEN = {
         "0ebd2a17603cbe3f1038fef9470e44006674c83ce6141b13fbaecbf9e94db684",
     "3d-std-max":
         "172a11733f660159de47876b470dd200f0451aad195027c237e3fea5b8b75331",
+    "3d-std-max-resample":
+        "6638a4bb53660432c0b22ecd7950c6539679297ace6f6da0b33930b6647765f3",
 }
 
 

@@ -200,6 +200,73 @@ def test_mixture_draw_lists_no_leaves_without_resampling(monkeypatch):
     assert len(result.tree) == 257 and calls == []
 
 
+class CountingTarget:
+    """The gmm5 target, recording the number of points of each call; from
+    call ``negative_from`` on (counting from 0) it returns -1 at every
+    point."""
+
+    def __init__(self, dims, negative_from=math.inf):
+        self.model = make_gmm5_target(np.random.default_rng(3), dims)
+        self.points, self.negative_from = [], negative_from
+
+    def __call__(self, x):
+        self.points.append(len(x))
+        if len(self.points) > self.negative_from:
+            return -np.ones(len(x))
+        return self.model(x)
+
+
+@pytest.mark.parametrize("dims, kernel, selection", [
+    (1, Kernel.UNIFORM, NodeSelection.MAX_EVIDENCE),
+    (2, Kernel.UNIFORM, NodeSelection.MIXTURE_DRAW),
+    (2, Kernel.GAUSSIAN, NodeSelection.MIXTURE_DRAW),
+    (3, Kernel.GAUSSIAN, NodeSelection.MAX_EVIDENCE),
+], ids=["1d-max", "2d-mix", "2d-gauss-mix", "3d-gauss-max"])
+def test_resampled_split_makes_one_target_call(dims, kernel, selection):
+    # each listing evaluates the leaves once; the children a split makes
+    # are first evaluated by the next listing, and only the last split's
+    # children (after the loop) are evaluated as they are made
+    target = CountingTarget(dims)
+    result = run_tp_ais(target, SamplerConfig(
+        dims=dims, n_samples=48, kernel=kernel, node_selection=selection,
+        resample_leaves=True, seed=6))
+    splits = (len(result.tree) - 1) // 2 ** dims
+    listings = [1 + (2 ** dims - 1) * s for s in range(splits)]
+    assert splits > 1 and target.points == listings + [2 ** dims]
+    assert np.isfinite(result.sample_set.weights).all()
+
+
+@pytest.mark.parametrize("selection", list(NodeSelection))
+def test_split_without_resampling_makes_one_target_call(selection):
+    # the root, then the children of each split as they are made
+    target = CountingTarget(2)
+    result = run_tp_ais(target, SamplerConfig(
+        dims=2, n_samples=48, node_selection=selection, seed=6))
+    splits = (len(result.tree) - 1) // 4
+    assert target.points == [1] + [4] * splits
+
+
+def test_resampled_run_without_splits_evaluates_the_root():
+    target = CountingTarget(2)
+    result = run_tp_ais(target, SamplerConfig(
+        dims=2, n_samples=1, resample_leaves=True, seed=6))
+    assert target.points == [1] and len(result.sample_set) == 1
+    assert np.isfinite(result.sample_set.weights).all()
+    assert result.sample_set.weights[0] > 0.0
+
+
+@pytest.mark.parametrize("n_samples, negative_from", [(1, 0), (48, 0),
+                                                      (48, 5), (48, 16)])
+def test_resampled_run_rejects_a_negative_target(n_samples, negative_from):
+    # 48 samples in 2D take 16 splits, so call 17 evaluates the last
+    # split's children after the loop
+    target = CountingTarget(2, negative_from)
+    with pytest.raises(ValueError, match="negative"):
+        run_tp_ais(target, SamplerConfig(
+            dims=2, n_samples=n_samples, resample_leaves=True, seed=6))
+    assert len(target.points) == negative_from + 1
+
+
 def test_dm_matches_standard_after_normalizing():
     target = make_gmm5_target(np.random.default_rng(44), 1)
     std = run_tp_ais(target, SamplerConfig(dims=1, n_samples=60, seed=17))

@@ -120,6 +120,10 @@ def test_radius_law_exact():
                      slice(3, len(tree), 2)):
             assert tree.radii(rows).tolist() == [
                 Node(tree, row).radius for row in every[rows]]
+        # the array of level radii follows the list, which stays Python
+        # floats (their repr is part of every tree golden)
+        assert tree.level_radius_array.tolist() == tree.level_radii
+        assert {type(r) for r in tree.level_radii} == {float}
 
 
 def test_partition_fuzz():
