@@ -8,17 +8,27 @@ mean of the component densities over all current leaves.
 The Gaussian mixture, the KDE of ``metrics`` and the deterministic-mixture
 weights of ``baselines.run_pmc`` are one weighted kernel sum,
 ``gaussian_kernel_sum``: each caller passes its normalization as per-center
-weights. ``exp(-0.5 * z**2)`` is exactly 0.0 in float64 once ``z**2``
-exceeds about 1490, so the sum takes large batches in spatially sorted
-tiles and skips, per tile, every center too far from all of the tile's
-points to give a nonzero term (the exact-zero case of the fast Gauss
-transform and of dual-tree kernel sums). Each point's terms are added in
-center order, so skipping zeros changes no bit, and a point's value does
-not depend on the batch or tile it is taken in. Skipping pays where the
-kernels are narrow against the spread of the points, as for the leaves
-of a deep tree. A KDE whose reach, ``sqrt(1600)`` bandwidths, spans the
-domain skips almost nothing: there the tiles only keep each block small,
-and the sort and the box tests are overhead.
+weights. At a point x, center j's log-term is
+``t_j(x) = log w_j - z_j(x)**2 / 2``, and the sum drops every term with
+``t_j(x) < max_i t_i(x) - _CUT``, ``_CUT = 40``. Each dropped term is
+below ``e**-40`` (4.2e-18) of the point's largest, so the value is within
+``m * e**-40`` (relative) of the dense sum over m centers, and it is
+positive wherever the largest term does not underflow. The rule reads the
+point alone, and the kept terms are added in center order, so a point's
+value is the same bits alone, in any batch, tile, order or thread.
+
+Large batches are taken in spatially sorted tiles, and each tile skips the
+centers that none of its points keeps: a center whose log-term stays
+more than 40 below a lower bound on every point's largest all over the
+tile's bounding box, and one whose kernel is exactly 0.0 all over the box
+(``exp(-0.5 * z**2)`` is 0.0 in float64 once ``z**2`` exceeds about
+1490). This is the cutoff with an error bound of the improved fast Gauss
+transform (Yang, Duraiswami & Gumerov 2003) and of dual-tree kernel sums
+(Gray & Moore 2001). The box bounds take the terms' own floating-point
+operations, so the tiles keep a superset of the terms the rule keeps, and
+skipping changes no bit. The box tests run in the caller: first over the
+box of 16 tiles at a time, then for each of those tiles among the centers
+kept there.
 
 Since no tile's values depend on another tile, the sorted tiles are dealt
 out in turn (``tiles[i::k]``) to k threads, and each thread writes its
@@ -26,14 +36,15 @@ own rows of the result: NumPy releases the interpreter lock inside the
 ufuncs and reductions of a tile, so the threads overlap, and the result
 is the same bits as one thread's. k is the number of CPUs the process may
 use, at most ``_MAX_WORKERS`` and at most the batch's full tiles. Threads
-pay only where a tile's blocks are large (``_THREAD_PAIRS``): against few
-centers the interpreter steps between NumPy calls, which hold the lock,
-cost more than the threads save. The tiles in flight share the cap on
-center-point pairs, so past ``_TILE_FLOATS // (k * size)`` centers fewer
-threads take part, and the tiles keep their size. The threads run under
-the caller's floating-point error settings and end with the call, so a
-forked child (as in ``bench.run_experiments(workers > 1)``) inherits no
-pool whose threads it lacks.
+pay only where the tiles keep large blocks: on average at least
+``_THREAD_PAIRS`` center-point pairs a tile. Against shorter blocks the
+interpreter steps between NumPy calls, which hold the lock, cost more
+than the threads save. The blocks in flight share the cap on kept pairs,
+so k is at most ``_TILE_FLOATS`` over the largest block a tile keeps,
+however many centers the sum has. The threads run under the caller's
+floating-point error settings and end with the call, so a forked child
+(as in ``bench.run_experiments(workers > 1)``) inherits no pool whose
+threads it lacks.
 """
 
 from __future__ import annotations
@@ -56,12 +67,14 @@ class Kernel(enum.Enum):
     GAUSSIAN = "gaussian"
 
 
-# exp(-0.5 * z2) is exactly 0.0 in float64 once z2 > 1490.3; the margin
-# covers rounding in the bound below
+# exp(-0.5 * z2) is exactly 0.0 in float64 once z2 > 1490.3
 _ZERO_Z2 = 1600.0
+_CUT = 40.0  # a point drops each term this far below its largest log-term
 _TILE_POINTS = 64       # query points per tile
 _TILE_FLOATS = 1 << 22  # cap on center-point pairs in flight
-_THREAD_PAIRS = 1 << 15  # least center-point pairs a tile needs for threads
+_THREAD_PAIRS = 1 << 14  # least kept pairs per tile, on average, for threads
+_BOX_FLOATS = 1 << 13  # cap on the tile-center pairs of one box test array
+_BOX_GROUP = 16  # tiles whose box is tested first as one
 
 
 # threads that share the tiles of one sum: the CPUs this process may use,
@@ -73,11 +86,11 @@ except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
-def _tiles(points: np.ndarray, size: int):
-    """Row indices of ``points`` in consecutive tiles of at most ``size``,
-    sorted by the cell of a grid over the bounding box of their finite
-    coordinates with about ``size`` points per cell, so that each tile's
-    points lie together."""
+def _sorted_rows(points: np.ndarray, size: int):
+    """The rows of ``points`` sorted by the cell of a grid over the
+    bounding box of their finite coordinates with about ``size`` points
+    per cell, so that each tile of ``size`` consecutive rows lies
+    together."""
     n, dims = points.shape
     finite = np.isfinite(points)
     lo = np.where(finite, points, np.inf).min(axis=0)
@@ -85,74 +98,170 @@ def _tiles(points: np.ndarray, size: int):
     cells = max(1, round((n / size) ** (1.0 / dims)))
     per_unit = np.divide(cells, span, out=np.zeros(dims), where=span > 0.0)
     with np.errstate(invalid="ignore"):  # a non-finite point sorts anywhere
-        order = np.lexsort(np.floor((points - lo) * per_unit).T)
-    return [order[start:start + size] for start in range(0, n, size)]
+        return np.lexsort(np.floor((points - lo) * per_unit).T)
 
 
-def _tile_sum(x, centers, scale, weights):
-    """``sum_j w_j * exp(-0.5 * z_j**2)`` at each point of ``x`` (t, K),
-    with the terms added one center at a time in center order."""
+def _per_center(value, m):
+    """One number as a Python float, else one float per center."""
+    if isinstance(value, float):
+        return value
+    value = np.asarray(value, dtype=float)
+    return float(value) if value.ndim == 0 else np.broadcast_to(value, (m,))
+
+
+def _take(value, kept):
+    """``value`` at the ``kept`` centers; one float stays as it is."""
+    return value if isinstance(value, float) else value.take(kept)
+
+
+def _tile_sum(x, centers, scale, weights, log_weights):
+    """``sum_j w_j * exp(-0.5 * z_j**2)`` at each point of ``x`` (t, K)
+    over the terms each point keeps, added one center at a time in center
+    order. ``log_weights`` is None where ``weights`` is one float."""
     if x.shape[0] == 1:  # NumPy sums one column pairwise, two row by row
-        return _tile_sum(np.repeat(x, 2, axis=0), centers, scale, weights)[:1]
-    z2 = None
+        return _tile_sum(np.repeat(x, 2, axis=0), centers, scale, weights,
+                         log_weights)[:1]
+    s = scale if isinstance(scale, float) else scale[:, None]
+    h = None
     for c, xd in zip(centers.T, x.T):
         z = c[:, None] - xd
-        z /= scale[:, None]
+        z /= s
         z *= z
-        if z2 is None:
-            z2 = z
+        if h is None:
+            h = z
         else:
-            z2 += z
-    z2 *= -0.5
-    k = np.exp(z2, out=z2)
-    k *= weights[:, None]
+            h += z
+    h *= -0.5  # the log-kernels, which rank the log-terms under one weight
+    t = h
+    if log_weights is not None:  # into the last dimension's block, if free
+        t = np.add(h, log_weights[:, None], out=None if z is h else z)
+    # a mask, not -inf, drops the terms: exp is slower at -inf. (A NaN
+    # log-term makes the point's sum NaN, kept or not.)
+    kept = t >= t.max(axis=0) - _CUT
+    k = np.exp(h, out=h)
+    k *= kept
+    k *= weights if isinstance(weights, float) else weights[:, None]
     return k.sum(axis=0)  # a (centers, points) block, summed row by row
 
 
-def _within_reach(x, centers, scale):
-    """Indices of the centers whose kernel may be nonzero at some point of
-    the bounding box of ``x``: those whose scaled distance to the box is
-    at most ``sqrt(_ZERO_Z2)``, or NaN."""
-    gap = np.maximum(x.min(axis=0) - centers, centers - x.max(axis=0))
-    np.maximum(gap, 0.0, out=gap)
-    gap /= scale[:, None]
-    return np.flatnonzero(~(np.square(gap, out=gap).sum(axis=1) > _ZERO_Z2))
+def _box_skip(lo, hi, centers, scale, log_weights):
+    """A (boxes, centers) mask of the centers whose term no point of the
+    box ``[lo, hi]`` keeps, one box per row of ``lo`` and ``hi``.
+
+    Over a box a center's log-term is at most ``top``, at the box's point
+    nearest to the center, and at least its value at the farthest corner;
+    so every point's largest is at least ``floor``, the most of the
+    latter. The bounds take the floating-point operations of the terms in
+    the same order, which round monotonically, so they hold in floating
+    point too. A center whose ``top`` is more than ``_CUT`` below
+    ``floor`` is skipped, and so is one whose kernel is exactly 0.0 all
+    over the box (scaled distance past ``sqrt(_ZERO_Z2)``) unless it may
+    be a point's largest. A NaN bound skips nothing.
+    """
+    # squared scaled distances from each center to the nearest and the
+    # farthest point of each box
+    near = far = 0.0
+    for c, lo_d, hi_d in zip(centers.T, lo.T, hi.T):
+        below, above = lo_d[:, None] - c, c - hi_d[:, None]
+        gap = np.maximum(below, above)
+        np.maximum(gap, 0.0, out=gap)
+        near += np.square(gap / scale)
+        far += np.square(np.minimum(below, above, out=below) / scale)
+    top, low = near * -0.5, far * -0.5
+    if log_weights is not None:
+        top += log_weights
+        low += log_weights
+    floor = low.max(axis=1, keepdims=True)
+    skip = top < floor - _CUT
+    zero = near > _ZERO_Z2
+    # under one weight a point's largest term is a zero only if all are
+    if log_weights is not None:
+        zero &= top < floor
+    return np.logical_or(skip, zero, out=skip)
+
+
+def _kept_centers(x, size, centers, scale, log_weights):
+    """For each tile of ``size`` consecutive rows of ``x``, the centers
+    whose term some point of the tile's bounding box may keep, as
+    ``candidates[keep]``: one (candidates, keep) pair per tile.
+
+    The tiles go in groups of ``_BOX_GROUP``. The centers kept over a
+    group's box, a superset of those its tiles keep, are the candidates
+    for each of its tiles, tested ``_BOX_FLOATS // candidates`` tiles to
+    a (tiles, candidates) array; ``keep`` is a row of a boolean one.
+    """
+    starts = np.arange(0, x.shape[0], size)
+    lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+    kept = []
+    for first in range(0, starts.size, _BOX_GROUP):
+        lo_g, hi_g = lo[first:first + _BOX_GROUP], hi[first:first + _BOX_GROUP]
+        (skip,) = _box_skip(lo_g.min(axis=0, keepdims=True),
+                            hi_g.max(axis=0, keepdims=True), centers, scale,
+                            log_weights)
+        candidates = np.flatnonzero(~skip)
+        if not candidates.size:
+            kept.extend((candidates, np.zeros(0, bool)) for _ in lo_g)
+            continue
+        among = (centers.take(candidates, axis=0), _take(scale, candidates),
+                 None if log_weights is None
+                 else log_weights.take(candidates))
+        step = max(1, _BOX_FLOATS // candidates.size)
+        for i in range(0, len(lo_g), step):
+            keep = ~_box_skip(lo_g[i:i + step], hi_g[i:i + step], *among)
+            kept.extend((candidates, row) for row in keep)
+    return kept
 
 
 def gaussian_kernel_sum(points, centers, scale, weights):
     """Weighted isotropic Gaussian kernels ``sum_j w_j * exp(-0.5 * z_j**2)``
-    at each point, where ``z_j = |x - c_j| / s_j``.
+    at each point, where ``z_j = |x - c_j| / s_j``, over the terms each
+    point keeps.
 
     ``points`` has shape (n, K), ``centers`` (m, K), and ``scale`` and
-    ``weights`` are scalars or one value per center. Returns shape (n,).
-    Each point's terms are added one center at a time in center order,
-    over a centers × points block with ``z**2`` summed in dimension order.
-    A batch that fits one tile of ``_TILE_POINTS`` points and
-    ``_TILE_FLOATS`` center-point pairs is one block. A larger one is
-    taken in spatially sorted tiles, shared among threads where they pay,
-    and each tile skips every center whose scaled distance to the
-    tile's bounding box exceeds ``sqrt(_ZERO_Z2)``: its kernel is exactly
-    0.0 at each of the tile's points, and adding 0.0 would not change the
-    sum. So a point's value is the same bits in any batch, tile or thread.
+    ``weights`` (non-negative) are scalars or one value per center.
+    Returns shape (n,). At each point the terms whose log-term
+    ``log w_j - z_j**2 / 2`` is more than ``_CUT`` (40) below the point's
+    largest are dropped; the value is within ``m * e**-40`` (relative) of
+    the dense sum and positive wherever the largest term does not
+    underflow. The kept terms are added one center at a time in center
+    order, over a centers × points block with ``z**2`` summed in dimension
+    order, so a point's value is the same bits alone and in any batch,
+    tile, order or thread. A batch that fits one tile of ``_TILE_POINTS``
+    points and ``_TILE_FLOATS`` center-point pairs is one block. A larger
+    one is taken in spatially sorted tiles, each against the centers that
+    its box test keeps. The tiles go to threads where they keep on
+    average at least ``_THREAD_PAIRS`` pairs, and to no more threads than
+    ``_TILE_FLOATS`` over the largest block a tile keeps. One scale or
+    weight is divided and multiplied as a Python float.
     """
     m = centers.shape[0]
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
-    weights = np.broadcast_to(np.asarray(weights, dtype=float), (m,))
-    size = max(1, min(_TILE_POINTS, _TILE_FLOATS // max(m, 1)))
+    if not m:
+        return np.zeros(points.shape[0])
+    scale, weights = _per_center(scale, m), _per_center(weights, m)
+    log_weights = None
+    if not isinstance(weights, float):
+        with np.errstate(divide="ignore"):  # a zero weight's is -inf
+            log_weights = np.log(weights)
+    size = max(1, min(_TILE_POINTS, _TILE_FLOATS // m))
     # one small batch, as in DM-PMC: a sort and a box test would cost
     # about as much as its kernels
     if points.shape[0] <= size:
-        return _tile_sum(points, centers, scale, weights)
-    tiles = _tiles(points, size)
-    # threads pay only where a tile's blocks are large; each takes at least
-    # one full tile, and the threads' tiles in flight share the cap on pairs
+        return _tile_sum(points, centers, scale, weights, log_weights)
+    order = _sorted_rows(points, size)
+    tiles = [(order[i:i + size], *kept) for i, kept in zip(
+        range(0, len(order), size), _kept_centers(
+            points.take(order, axis=0), size, centers, scale, log_weights))]
+    # threads pay only where the tiles keep large blocks; each takes at
+    # least one full tile, and the threads' blocks in flight share the cap
+    pairs = [len(rows) * np.count_nonzero(keep) for rows, _, keep in tiles]
     workers = 1
-    if size * m >= _THREAD_PAIRS:
+    if sum(pairs) >= _THREAD_PAIRS * len(tiles):
         workers = min(_WORKERS, points.shape[0] // size,
-                      _TILE_FLOATS // (size * m))
+                      _TILE_FLOATS // max(max(pairs), 1))
     out = np.empty(points.shape[0])
     share = functools.partial(_share_sum, points=points, centers=centers,
-                              scale=scale, weights=weights, out=out,
+                              scale=scale, weights=weights,
+                              log_weights=log_weights, out=out,
                               settings=np.geterr(), call=np.geterrcall())
     if workers <= 1:
         share(tiles)
@@ -165,15 +274,21 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     return out
 
 
-def _share_sum(tiles, points, centers, scale, weights, out, settings, call):
-    """Write the sum at the rows of each of ``tiles`` into ``out``, under
-    the caller's floating-point error ``settings`` and ``call``back."""
+def _share_sum(tiles, points, centers, scale, weights, log_weights, out,
+               settings, call):
+    """Write the sum at the rows of each of ``tiles``, (rows, candidates,
+    keep), into ``out``, under the caller's floating-point error
+    ``settings`` and ``call``back."""
     with np.errstate(call=call, **settings):
-        for rows in tiles:
-            x = points[rows]
-            near = _within_reach(x, centers, scale)
-            out[rows] = _tile_sum(x, centers[near], scale[near],
-                                  weights[near])
+        for rows, candidates, keep in tiles:
+            kept = candidates[keep]
+            if not kept.size:
+                out[rows] = 0.0
+                continue
+            out[rows] = _tile_sum(
+                points.take(rows, axis=0), centers.take(kept, axis=0),
+                _take(scale, kept), _take(weights, kept),
+                None if log_weights is None else log_weights.take(kept))
 
 
 class TreeProposal:

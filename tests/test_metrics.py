@@ -231,6 +231,19 @@ def test_kde_batch_chunking_consistent(monkeypatch):
     np.testing.assert_array_equal(mixture.density(query), default_tiles[2])
 
 
+def test_kde_reads_a_1d_array_as_one_dimensional_points():
+    # as ess_mcmc reads a 1-d chain: n states of one coordinate each
+    values = np.array([0.1, 0.2, 0.3])
+    model = KDEModel(values, bandwidth=0.1)
+    assert model.dims == 1 and model.points.shape == (3, 1)
+    assert ess_mcmc(values) == ess_mcmc(values[:, None])
+    np.testing.assert_array_equal(
+        model.density(np.array([[0.0], [0.2]])),
+        KDEModel(values[:, None], bandwidth=0.1).density(
+            np.array([[0.0], [0.2]])))
+    assert KDEModel(0.5).points.shape == (1, 1)
+
+
 def test_kde_validation():
     # the bandwidth is a scale: a positive finite number, not a boolean
     for bad in (0.0, math.nan, True, np.True_, "wide", None):

@@ -18,6 +18,7 @@ from conftest import (component_density, cumsum_mixture_draw,
                       dyadic_midpoint_grid, grow_random_tree)
 from tpais import proposal
 from tpais.bench import derive_seed
+from tpais.metrics import KDEModel
 from tpais.proposal import Kernel, TreeProposal, gaussian_kernel_sum
 from tpais.sampler import (SamplerConfig, _SumTree, mixture_weights,
                            run_tp_ais)
@@ -426,16 +427,24 @@ def test_sum_tree_agrees_with_the_cumsum_rule():
 
 def sequential_kernel_sum(points, centers, scale, weights):
     """Dense reference: every center's weighted kernel at every point,
-    ``z**2`` summed in dimension order and the terms added in center
-    order, one center at a time."""
+    ``z**2`` summed in dimension order, each point's terms more than
+    ``_CUT`` below its largest log-term ``log w_j - z_j**2 / 2`` dropped
+    (under one weight the log-kernels ``-z_j**2 / 2`` rank them), and the
+    rest added in center order, one center at a time."""
     m = centers.shape[0]
-    acc = np.zeros(points.shape[0])
-    for c, s, w in zip(centers, np.broadcast_to(scale, (m,)),
-                       np.broadcast_to(weights, (m,))):
+    log_kernels = []
+    for c, s in zip(centers, np.broadcast_to(scale, (m,))):
         z2 = ((c[0] - points[:, 0]) / s) ** 2
         for d in range(1, centers.shape[1]):
             z2 += ((c[d] - points[:, d]) / s) ** 2
-        acc = acc + w * np.exp(-0.5 * z2)
+        log_kernels.append(-0.5 * z2)
+    log_terms = np.array(log_kernels)
+    if np.ndim(weights) > 0:
+        log_terms = log_terms + np.log(weights)[:, None]
+    kept = ~(log_terms < log_terms.max(axis=0) - proposal._CUT)
+    acc = np.zeros(points.shape[0])
+    for h, w, keep in zip(log_kernels, np.broadcast_to(weights, (m,)), kept):
+        acc = acc + np.where(keep, w * np.exp(h), 0.0)
     return acc
 
 
@@ -456,13 +465,14 @@ def kernel_sum_case(seed, dims, n, m, per_center):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), dims=st.integers(1, 3),
        n=st.integers(1, 300), m=st.integers(1, 80), per_center=st.booleans(),
-       tile=st.integers(1, 70), floats=st.integers(1, 5000))
+       tile=st.integers(1, 70), floats=st.integers(1, 5000),
+       box=st.integers(1, 5000), group=st.integers(1, 20))
 def test_kernel_sum_is_the_sequential_sum_in_any_tiling(
-        seed, dims, n, m, per_center, tile, floats):
+        seed, dims, n, m, per_center, tile, floats, box, group):
     points, centers, scale, weights = kernel_sum_case(seed, dims, n, m,
                                                       per_center)
     batch = gaussian_kernel_sum(points, centers, scale, weights)
-    # bit for bit the dense sum in center order, skipped zeros and all
+    # bit for bit the dense sum in center order under the same cut
     np.testing.assert_array_equal(
         batch, sequential_kernel_sum(points, centers, scale, weights))
     # and close to a dense exp-and-matmul sum in any order
@@ -472,7 +482,9 @@ def test_kernel_sum_is_the_sequential_sum_in_any_tiling(
         batch, np.exp(-0.5 * z2) @ np.broadcast_to(weights, (m,)),
         rtol=1e-13, atol=0.0)
     with mock.patch.object(proposal, "_TILE_POINTS", tile), \
-            mock.patch.object(proposal, "_TILE_FLOATS", floats):
+            mock.patch.object(proposal, "_TILE_FLOATS", floats), \
+            mock.patch.object(proposal, "_BOX_FLOATS", box), \
+            mock.patch.object(proposal, "_BOX_GROUP", group):
         np.testing.assert_array_equal(
             gaussian_kernel_sum(points, centers, scale, weights), batch)
         reverse = gaussian_kernel_sum(points[::-1], centers, scale, weights)
@@ -483,26 +495,50 @@ def test_kernel_sum_is_the_sequential_sum_in_any_tiling(
             np.testing.assert_array_equal(alone, batch[i:i + 1])
 
 
-def test_kernel_sum_skips_only_exact_zeros():
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dims=st.integers(1, 3),
+       n=st.integers(1, 300), m=st.integers(1, 80))
+def test_kernel_sum_is_positive_where_the_dense_sum_is(seed, dims, n, m):
+    # points up to 60 of the widest scales from every center, where the
+    # dense sum is tiny or exactly 0.0; weights over twelve decades
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-5.0, 5.0, (n, dims))
+    centers = rng.uniform(-1.0, 1.0, (m, dims))
+    scale = 10.0 ** rng.uniform(-2.0, -1.0, m)
+    weights = 10.0 ** rng.uniform(-6.0, 6.0, m)
+    batch = gaussian_kernel_sum(points, centers, scale, weights)
+    z2 = (((points[:, None, :] - centers) / scale[:, None]) ** 2).sum(axis=2)
+    dense = np.exp(-0.5 * z2) @ weights
+    assert np.all(batch[dense > 0.0] > 0.0)
+    # each dropped term is below e**-_CUT of the point's largest
+    bound = m * math.exp(-proposal._CUT) + 1e-13
+    np.testing.assert_array_less(np.abs(batch - dense), bound * dense
+                                 + np.finfo(float).tiny)
+
+
+def test_kernel_sum_cut_keeps_terms_inside_and_drops_those_beyond():
+    # at x = 0, 4096 equal terms at z**2 = 2 * _CUT, each e**-40 of the
+    # largest, then a unit term: too small to show alone, 1.7e-14 together
+    points = np.linspace(0.0, 1.0, 200)[:, None]  # several tiles
+    for factor, kept in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        edge = math.sqrt(2.0 * proposal._CUT * factor)
+        centers = np.vstack([np.full((4096, 1), edge), [[0.0]]])
+        sums = gaussian_kernel_sum(points, centers, 1.0, 1.0)
+        np.testing.assert_array_equal(
+            sums, sequential_kernel_sum(points, centers, 1.0, 1.0))
+        np.testing.assert_array_equal(
+            sums[:1], gaussian_kernel_sum(points[:1], centers, 1.0, 1.0))
+        assert (sums[0] > 1.0) == kept and sums[0] < 1.0 + 2e-14
+    # the box test skips a center whose kernel is exactly 0.0 all over a
+    # tile's box, even where it would be every point's largest term
     assert math.exp(-0.5 * proposal._ZERO_Z2) == 0.0
-    # 200 points in [0, 1]: several tiles, each of which prunes
-    points = np.linspace(0.0, 1.0, 200)[:, None]
     scale = 1e-3
-    # the last kernel that does not underflow, at z**2 = 1480 from x = 1,
-    # is kept: every point in its tile sums a subnormal or larger term
-    kept = 1.0 + math.sqrt(1480.0) * scale
-    sums = gaussian_kernel_sum(points, np.array([[kept], [-5.0]]), scale,
-                               np.ones(2))
-    assert sums[-1] > 0.0
-    np.testing.assert_array_equal(sums, sequential_kernel_sum(
-        points, np.array([[kept], [-5.0]]), scale, np.ones(2)))
-    # a center just beyond the reach of every point contributes exactly 0
     beyond = 1.0 + math.sqrt(proposal._ZERO_Z2) * scale * (1.0 + 1e-12)
-    centers = np.array([[beyond], [0.5]])
-    with_far = gaussian_kernel_sum(points, centers, scale, np.ones(2))
-    np.testing.assert_array_equal(
-        with_far, gaussian_kernel_sum(points, centers[1:], scale, 1.0))
-    assert gaussian_kernel_sum(points, centers[:1], scale, 1.0).max() == 0.0
+    ((candidates, keep),) = proposal._kept_centers(
+        points, 200, np.array([[beyond]]), scale, None)
+    assert candidates[keep].size == 0
+    assert gaussian_kernel_sum(points, np.array([[beyond]]), scale,
+                               1.0).max() == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -579,14 +615,15 @@ def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
     else:  # narrow leaves of uneven size, as in a deep tree
         scale = 10.0 ** rng.uniform(-3.0, -1.5, m)
         weights = rng.uniform(0.1, 10.0, m)
-    tiles = proposal._tiles(points, proposal._TILE_POINTS)
-    assert n in (65, 129) or len(tiles) % 6 in (1, 5)
-    kept = sum(proposal._within_reach(points[rows], centers,
-                                      np.broadcast_to(scale, (m,))).size
-               for rows in tiles)
-    share = kept / (len(tiles) * m)  # of the center-point pairs computed
-    assert share > 0.9 if kde else share < 2 / 3
+    kept = [candidates[keep] for candidates, keep in proposal._kept_centers(
+        points.take(proposal._sorted_rows(points, 64), axis=0), 64, centers,
+        scale, None if kde else np.log(weights))]
+    assert n in (65, 129) or len(kept) % 6 in (1, 5)
+    # every case prunes, and a tile with a NaN point keeps every center
+    assert sum(k.size for k in kept) < 0.97 * len(kept) * m
+    assert max(k.size for k in kept) == m or not nans
     monkeypatch.setattr(proposal, "_WORKERS", workers)
+    monkeypatch.setattr(proposal, "_THREAD_PAIRS", 0)  # threads for any
     threads = []  # the thread that ran each share
     share_sum = proposal._share_sum
 
@@ -607,28 +644,65 @@ def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
         pooled, gaussian_kernel_sum(points, centers, scale, weights))
 
 
+def test_threads_follow_the_pairs_the_tiles_keep(monkeypatch):
+    monkeypatch.setattr(proposal, "_WORKERS", 2)
+    threads = []  # the thread that ran each share
+    share_sum = proposal._share_sum
+
+    def recorded(tiles, **kwargs):
+        threads.append(threading.current_thread().name)
+        share_sum(tiles, **kwargs)
+
+    monkeypatch.setattr(proposal, "_share_sum", recorded)
+    caller = threading.current_thread().name
+    rng = np.random.default_rng(derive_seed("thread gate"))
+    # a 1D Gaussian leaf mixture keeps a few dozen leaves a tile: too
+    # short a block for threads
+    tree = run_tp_ais(make_gmm5_target(rng, 1),
+                      SamplerConfig(dims=1, n_samples=1024,
+                                    kernel=Kernel.GAUSSIAN, seed=45)).tree
+    TreeProposal(tree, Kernel.GAUSSIAN).density(
+        rng.uniform(-1.0, 1.0, (2000, 1)))
+    assert threads == [caller]
+    # the bench's 2D KDE (1024 chain points, bandwidth 0.05) keeps hundreds
+    threads.clear()
+    KDEModel(rng.normal(0.0, 0.4, (1024, 2)), 0.05).density(
+        rng.uniform(-1.0, 1.0, (2000, 2)))
+    assert len(threads) == 2 and caller not in threads
+    # 70000 narrow centers: a block of all of them would fill the cap on
+    # pairs alone, but each tile keeps a few thousand, so two threads run
+    threads.clear()
+    points = rng.uniform(-1.0, 1.0, (3000, 2))
+    centers = rng.uniform(-1.0, 1.0, (70000, 2))
+    pooled = gaussian_kernel_sum(points, centers, 1e-3, 1.0)
+    assert len(threads) == 2 and caller not in threads
+    monkeypatch.setattr(proposal, "_WORKERS", 1)
+    np.testing.assert_array_equal(
+        pooled, gaussian_kernel_sum(points, centers, 1e-3, 1.0))
+
+
 def test_nan_points_leave_the_tiles_pruned(monkeypatch):
     # the grid spans the finite coordinates, so the NaN rows sort last and
-    # cost about one tile that keeps every center (a NaN box reaches all)
+    # cost one tile that keeps every center (a NaN box reaches all)
     rng = np.random.default_rng(derive_seed("nan tiles"))
     points = rng.uniform(-1.0, 1.0, (2200, 1))
     centers = rng.uniform(-1.0, 1.0, (150, 1))
     scale = 10.0 ** rng.uniform(-3.0, -1.5, 150)
     weights = rng.uniform(0.1, 10.0, 150)
-    within_reach, kept = proposal._within_reach, []
+    kept_centers, kept = proposal._kept_centers, []
 
-    def counted(x, centers, scale):
-        near = within_reach(x, centers, scale)
-        kept.append(near.size)
-        return near
+    def counted(*args):
+        tiles = kept_centers(*args)
+        kept.append([candidates[keep].size for candidates, keep in tiles])
+        return tiles
 
-    monkeypatch.setattr(proposal, "_within_reach", counted)
+    monkeypatch.setattr(proposal, "_kept_centers", counted)
     clean = gaussian_kernel_sum(points, centers, scale, weights)
-    clean_pairs = sum(kept)
-    kept.clear()
     with_nan = gaussian_kernel_sum(
         np.vstack([points, np.full((3, 1), np.nan)]), centers, scale, weights)
-    assert abs(sum(kept) - clean_pairs) <= 0.1 * clean_pairs
+    (clean_kept, nan_kept) = kept
+    assert len(nan_kept) == len(clean_kept) == 35
+    assert nan_kept[:-1] == clean_kept[:-1] and nan_kept[-1] == 150
     np.testing.assert_array_equal(with_nan[:2200], clean)
     assert np.isnan(with_nan[2200:]).all()
 
