@@ -29,31 +29,12 @@ operations, so the tiles keep a superset of the terms the rule keeps, and
 skipping changes no bit. The box tests run in the caller: first over the
 box of 16 tiles at a time, then for each of those tiles among the centers
 kept there.
-
-Since no tile's values depend on another tile, the sorted tiles are dealt
-out in turn (``tiles[i::k]``) to k threads, and each thread writes its
-own rows of the result: NumPy releases the interpreter lock inside the
-ufuncs and reductions of a tile, so the threads overlap, and the result
-is the same bits as one thread's. k is the number of CPUs the process may
-use, at most ``_MAX_WORKERS`` and at most the batch's full tiles. Threads
-pay only where the tiles keep large blocks: on average at least
-``_THREAD_PAIRS`` center-point pairs a tile. Against shorter blocks the
-interpreter steps between NumPy calls, which hold the lock, cost more
-than the threads save. The blocks in flight share the cap on kept pairs,
-so k is at most ``_TILE_FLOATS`` over the largest block a tile keeps,
-however many centers the sum has. The threads run under the caller's
-floating-point error settings and end with the call, so a forked child
-(as in ``bench.run_experiments(workers > 1)``) inherits no pool whose
-threads it lacks.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,19 +52,9 @@ class Kernel(enum.Enum):
 _ZERO_Z2 = 1600.0
 _CUT = 40.0  # a point drops each term this far below its largest log-term
 _TILE_POINTS = 64       # query points per tile
-_TILE_FLOATS = 1 << 22  # cap on center-point pairs in flight
-_THREAD_PAIRS = 1 << 14  # least kept pairs per tile, on average, for threads
+_TILE_FLOATS = 1 << 22  # cap on the center-point pairs of a tile
 _BOX_FLOATS = 1 << 13  # cap on the tile-center pairs of one box test array
 _BOX_GROUP = 16  # tiles whose box is tested first as one
-
-
-# threads that share the tiles of one sum: the CPUs this process may use,
-# at most _MAX_WORKERS (an affinity mask does not show a CPU quota)
-_MAX_WORKERS = 8
-try:
-    _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
-except AttributeError:  # no sched_getaffinity on this platform
-    _WORKERS = min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
 def _sorted_rows(points: np.ndarray, size: int):
@@ -229,10 +200,8 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     tile, order or thread. A batch that fits one tile of ``_TILE_POINTS``
     points and ``_TILE_FLOATS`` center-point pairs is one block. A larger
     one is taken in spatially sorted tiles, each against the centers that
-    its box test keeps. The tiles go to threads where they keep on
-    average at least ``_THREAD_PAIRS`` pairs, and to no more threads than
-    ``_TILE_FLOATS`` over the largest block a tile keeps. One scale or
-    weight is divided and multiplied as a Python float.
+    its box test keeps. One scale or weight is divided and multiplied as
+    a Python float.
     """
     m = centers.shape[0]
     if not m:
@@ -248,47 +217,18 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     if points.shape[0] <= size:
         return _tile_sum(points, centers, scale, weights, log_weights)
     order = _sorted_rows(points, size)
-    tiles = [(order[i:i + size], *kept) for i, kept in zip(
-        range(0, len(order), size), _kept_centers(
-            points.take(order, axis=0), size, centers, scale, log_weights))]
-    # threads pay only where the tiles keep large blocks; each takes at
-    # least one full tile, and the threads' blocks in flight share the cap
-    pairs = [len(rows) * np.count_nonzero(keep) for rows, _, keep in tiles]
-    workers = 1
-    if sum(pairs) >= _THREAD_PAIRS * len(tiles):
-        workers = min(_WORKERS, points.shape[0] // size,
-                      _TILE_FLOATS // max(max(pairs), 1))
     out = np.empty(points.shape[0])
-    share = functools.partial(_share_sum, points=points, centers=centers,
-                              scale=scale, weights=weights,
-                              log_weights=log_weights, out=out,
-                              settings=np.geterr(), call=np.geterrcall())
-    if workers <= 1:
-        share(tiles)
-        return out
-    # a pool per call: its threads end with the call, so a forked child
-    # inherits none that it lacks
-    with ThreadPoolExecutor(workers, thread_name_prefix="kernel-sum") as pool:
-        for _ in pool.map(share, [tiles[i::workers] for i in range(workers)]):
-            pass  # a share's exception is raised here, in the caller
+    for i, (candidates, keep) in zip(range(0, len(order), size), _kept_centers(
+            points.take(order, axis=0), size, centers, scale, log_weights)):
+        rows, kept = order[i:i + size], candidates[keep]
+        if not kept.size:
+            out[rows] = 0.0
+            continue
+        out[rows] = _tile_sum(
+            points.take(rows, axis=0), centers.take(kept, axis=0),
+            _take(scale, kept), _take(weights, kept),
+            None if log_weights is None else log_weights.take(kept))
     return out
-
-
-def _share_sum(tiles, points, centers, scale, weights, log_weights, out,
-               settings, call):
-    """Write the sum at the rows of each of ``tiles``, (rows, candidates,
-    keep), into ``out``, under the caller's floating-point error
-    ``settings`` and ``call``back."""
-    with np.errstate(call=call, **settings):
-        for rows, candidates, keep in tiles:
-            kept = candidates[keep]
-            if not kept.size:
-                out[rows] = 0.0
-                continue
-            out[rows] = _tile_sum(
-                points.take(rows, axis=0), centers.take(kept, axis=0),
-                _take(scale, kept), _take(weights, kept),
-                None if log_weights is None else log_weights.take(kept))
 
 
 class TreeProposal:

@@ -4,16 +4,10 @@ import dataclasses
 import json
 import math
 import os
-import signal
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import tpais
 from tpais import bench
 from tpais.bench import (CSV_COLUMNS, DEFAULT_SAMPLE_COUNTS, METHODS,
                          ExperimentSpec, ResultRow, derive_seed, emit_csv,
@@ -182,7 +176,8 @@ def test_cell_isolation():
 
 
 def test_parallel_matches_sequential():
-    spec = ExperimentSpec(methods=("tpais", "pmc-dm"), families=("normal",),
+    spec = ExperimentSpec(methods=("tpais", "pmc-dm", "mh"),
+                          families=("normal",),
                           dims=(1,), sample_counts=(16,), trials=2,
                           base_seed=8, jsd_points=300)
     seq = run_experiments(spec, clock=_ZERO_CLOCK)
@@ -211,59 +206,6 @@ def test_parallel_runs_give_every_worker_a_chunk(monkeypatch, trials,
     assert math.ceil(trials / chunksize) >= min(trials, workers)
     seq = run_experiments(spec, clock=_ZERO_CLOCK)
     assert [dataclasses.replace(r, wall_time_seconds=0.0) for r in par] == seq
-
-
-# A forked worker has none of its parent's threads: a thread pool kept
-# from a tiled sum in the parent would make the child's first threaded sum
-# wait forever. The workers inherit the two threads per sum set below.
-_FORK_AFTER_POOLED_SUM = textwrap.dedent("""
-    import dataclasses
-    import multiprocessing
-
-    import numpy as np
-
-    from tpais import proposal
-    from tpais.bench import ExperimentSpec, run_experiments
-
-    multiprocessing.set_start_method("fork")
-    proposal._WORKERS = 2  # threads even where one CPU is usable,
-    proposal._THREAD_PAIRS = 0  # and for few centers
-    rng = np.random.default_rng(0)
-    args = (rng.uniform(-1.0, 1.0, (1000, 1)),
-            rng.uniform(-1.0, 1.0, (50, 1)), 0.1, 1.0)
-    here = proposal.gaussian_kernel_sum(*args)
-    with multiprocessing.Pool(1) as pool:  # threads of the child's own
-        assert np.array_equal(pool.apply(proposal.gaussian_kernel_sum, args),
-                              here)
-    spec = ExperimentSpec(methods=("mh",), families=("normal", "gmm5"),
-                          dims=(1,), sample_counts=(128,), trials=2,
-                          base_seed=4, jsd_points=500)
-    par = run_experiments(spec, workers=2)
-    seq = run_experiments(spec, clock=lambda: 0.0)
-    assert [dataclasses.replace(r, wall_time_seconds=0.0)
-            for r in par] == seq
-    assert all(r.error is None for r in seq)
-    print("rows match")
-""")
-
-
-def test_forked_workers_after_a_pooled_sum_match_sequential_rows():
-    src = str(Path(tpais.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # a session of its own, so that a hang is ended with its forked workers
-    proc = subprocess.Popen([sys.executable, "-c", _FORK_AFTER_POOLED_SUM],
-                            env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("a forked child hung after a threaded sum in its parent")
-    assert proc.returncode == 0, err
-    assert out.strip() == "rows match"
 
 
 def test_rows_compare_nan_fields_by_value():

@@ -6,7 +6,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -18,7 +17,6 @@ from conftest import (component_density, cumsum_mixture_draw,
                       dyadic_midpoint_grid, grow_random_tree)
 from tpais import proposal
 from tpais.bench import derive_seed
-from tpais.metrics import KDEModel
 from tpais.proposal import Kernel, TreeProposal, gaussian_kernel_sum
 from tpais.sampler import (SamplerConfig, _SumTree, mixture_weights,
                            run_tp_ais)
@@ -594,21 +592,18 @@ def one_point_at_a_time(points, centers, scale, weights):
                                                weights) for x in points])
 
 
-# tile counts (64 points a tile) 2, with one full tile, so the caller's
-# thread alone; 3, with 2 full tiles, so 2 threads for either worker count;
-# then 79, 35, 13, 11 and 47, which neither 2 nor 3 workers share equally.
+# 2 to 79 tiles of 64 points
 # (NaN points in a pruned 1D batch: test_nan_points_leave_the_tiles_pruned)
-@pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("dims, n, kde, nans", [
     (2, 65, True, 3), (2, 129, True, 3), (1, 5000, True, 3),
     (1, 2200, False, 0), (2, 800, False, 3), (3, 700, True, 3),
     (3, 3000, False, 3)])
-def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
-        monkeypatch, dims, n, kde, nans, workers):
+def test_tiled_kernel_sum_is_the_one_point_sum_bit_for_bit(dims, n, kde,
+                                                           nans):
     rng = np.random.default_rng(derive_seed("pooled", dims, n, kde))
     points = rng.uniform(-1.0, 1.0, (n, dims))
     points[rng.choice(n, nans, replace=False), rng.integers(dims)] = np.nan
-    m = 1100  # enough for a tile's block to be worth threads
+    m = 1100
     centers = rng.uniform(-1.0, 1.0, (m, dims))
     if kde:  # one bandwidth whose reach spans the domain
         scale, weights = 0.05, 1.0 / m
@@ -618,67 +613,29 @@ def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
     kept = [candidates[keep] for candidates, keep in proposal._kept_centers(
         points.take(proposal._sorted_rows(points, 64), axis=0), 64, centers,
         scale, None if kde else np.log(weights))]
-    assert n in (65, 129) or len(kept) % 6 in (1, 5)
     # every case prunes, and a tile with a NaN point keeps every center
     assert sum(k.size for k in kept) < 0.97 * len(kept) * m
     assert max(k.size for k in kept) == m or not nans
-    monkeypatch.setattr(proposal, "_WORKERS", workers)
-    monkeypatch.setattr(proposal, "_THREAD_PAIRS", 0)  # threads for any
-    threads = []  # the thread that ran each share
-    share_sum = proposal._share_sum
-
-    def recorded(tiles, **kwargs):
-        threads.append(threading.current_thread().name)
-        share_sum(tiles, **kwargs)
-
-    monkeypatch.setattr(proposal, "_share_sum", recorded)
-    pooled = gaussian_kernel_sum(points, centers, scale, weights)
-    assert len(threads) == min(workers, n // 64)
-    caller = threading.current_thread().name
-    assert all((name == caller) == (n < 128) for name in threads)
-    assert np.isnan(pooled).sum() == nans
+    tiled = gaussian_kernel_sum(points, centers, scale, weights)
+    assert np.isnan(tiled).sum() == nans
     np.testing.assert_array_equal(
-        pooled, one_point_at_a_time(points, centers, scale, weights))
-    monkeypatch.setattr(proposal, "_WORKERS", 1)
+        tiled, one_point_at_a_time(points, centers, scale, weights))
+
+
+def test_kernel_sum_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"a kernel sum started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    # the bench's 2D KDE: 1024 chain points, bandwidth 0.05
+    rng = np.random.default_rng(derive_seed("no threads"))
+    points = rng.uniform(-1.0, 1.0, (2000, 2))
+    centers = rng.normal(0.0, 0.4, (1024, 2))
+    density = gaussian_kernel_sum(points, centers, 0.05, 1.0 / 1024)
+    some = rng.choice(len(points), 50, replace=False)
     np.testing.assert_array_equal(
-        pooled, gaussian_kernel_sum(points, centers, scale, weights))
-
-
-def test_threads_follow_the_pairs_the_tiles_keep(monkeypatch):
-    monkeypatch.setattr(proposal, "_WORKERS", 2)
-    threads = []  # the thread that ran each share
-    share_sum = proposal._share_sum
-
-    def recorded(tiles, **kwargs):
-        threads.append(threading.current_thread().name)
-        share_sum(tiles, **kwargs)
-
-    monkeypatch.setattr(proposal, "_share_sum", recorded)
-    caller = threading.current_thread().name
-    rng = np.random.default_rng(derive_seed("thread gate"))
-    # a 1D Gaussian leaf mixture keeps a few dozen leaves a tile: too
-    # short a block for threads
-    tree = run_tp_ais(make_gmm5_target(rng, 1),
-                      SamplerConfig(dims=1, n_samples=1024,
-                                    kernel=Kernel.GAUSSIAN, seed=45)).tree
-    TreeProposal(tree, Kernel.GAUSSIAN).density(
-        rng.uniform(-1.0, 1.0, (2000, 1)))
-    assert threads == [caller]
-    # the bench's 2D KDE (1024 chain points, bandwidth 0.05) keeps hundreds
-    threads.clear()
-    KDEModel(rng.normal(0.0, 0.4, (1024, 2)), 0.05).density(
-        rng.uniform(-1.0, 1.0, (2000, 2)))
-    assert len(threads) == 2 and caller not in threads
-    # 70000 narrow centers: a block of all of them would fill the cap on
-    # pairs alone, but each tile keeps a few thousand, so two threads run
-    threads.clear()
-    points = rng.uniform(-1.0, 1.0, (3000, 2))
-    centers = rng.uniform(-1.0, 1.0, (70000, 2))
-    pooled = gaussian_kernel_sum(points, centers, 1e-3, 1.0)
-    assert len(threads) == 2 and caller not in threads
-    monkeypatch.setattr(proposal, "_WORKERS", 1)
-    np.testing.assert_array_equal(
-        pooled, gaussian_kernel_sum(points, centers, 1e-3, 1.0))
+        density[some],
+        one_point_at_a_time(points[some], centers, 0.05, 1.0 / 1024))
 
 
 def test_nan_points_leave_the_tiles_pruned(monkeypatch):
@@ -707,15 +664,11 @@ def test_nan_points_leave_the_tiles_pruned(monkeypatch):
     assert np.isnan(with_nan[2200:]).all()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_pooled_kernel_sum_keeps_the_callers_error_settings(monkeypatch,
-                                                            workers):
+def test_kernel_sum_keeps_the_callers_error_settings():
     # a point and a center at +inf: inf - inf in the last tile's terms
     points = np.linspace(-1.0, 1.0, 200)[:, None]
     points[7] = np.inf
     centers = np.array([[0.0], [np.inf]])
-    monkeypatch.setattr(proposal, "_WORKERS", workers)
-    monkeypatch.setattr(proposal, "_THREAD_PAIRS", 0)  # threads for 2 centers
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="invalid value"):
@@ -731,26 +684,32 @@ def test_pooled_kernel_sum_keeps_the_callers_error_settings(monkeypatch,
                             0.1, 1.0))
 
 
-def test_concurrent_pooled_sums_with_more_threads_than_cpus(monkeypatch):
+def test_concurrent_pooled_sums_with_more_threads_than_cpus():
     rng = np.random.default_rng(derive_seed("concurrent sums"))
     points = rng.uniform(-1.0, 1.0, (700, 2))
     centers = rng.uniform(-1.0, 1.0, (80, 2))
     scale = 10.0 ** rng.uniform(-2.0, -0.5, 80)
-    monkeypatch.setattr(proposal, "_WORKERS", 1)
     expected = [gaussian_kernel_sum(points[i::3], centers, scale, 1.0)
                 for i in range(3)]
-    # 6 callers at once, each sharing its tiles among threads of its own
-    monkeypatch.setattr(proposal, "_WORKERS", 5)
-    monkeypatch.setattr(proposal, "_THREAD_PAIRS", 0)
+    results = [None] * 24
+
+    def call(first):  # each caller makes every sixth of 24 sums
+        for i in range(first, 24, 6):
+            results[i] = gaussian_kernel_sum(points[i % 3::3], centers,
+                                             scale, 1.0)
+
+    # 6 callers at once, switching often: the sum holds no shared state
+    callers = [threading.Thread(target=call, args=(first,))
+               for first in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(6) as callers:
-            futures = [callers.submit(gaussian_kernel_sum, points[i % 3::3],
-                                      centers, scale, 1.0)
-                       for i in range(24)]
-            results = [future.result(timeout=60) for future in futures]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
     for i, result in enumerate(results):
         np.testing.assert_array_equal(result, expected[i % 3])
