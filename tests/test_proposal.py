@@ -592,14 +592,32 @@ def one_point_at_a_time(points, centers, scale, weights):
                                                weights) for x in points])
 
 
-# 2 to 79 tiles of 64 points
+def in_callers(call, workers):
+    """Run call(k) for k < workers, each in a caller thread of its own, all
+    at once and switching often."""
+    callers = [threading.Thread(target=call, args=(k,))
+               for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+
+
+# 2 to 79 tiles of 64 points, summed by a pool of 2 or 3 caller threads
 # (NaN points in a pruned 1D batch: test_nan_points_leave_the_tiles_pruned)
+@pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("dims, n, kde, nans", [
     (2, 65, True, 3), (2, 129, True, 3), (1, 5000, True, 3),
     (1, 2200, False, 0), (2, 800, False, 3), (3, 700, True, 3),
     (3, 3000, False, 3)])
-def test_tiled_kernel_sum_is_the_one_point_sum_bit_for_bit(dims, n, kde,
-                                                           nans):
+def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
+        dims, n, kde, nans, workers):
     rng = np.random.default_rng(derive_seed("pooled", dims, n, kde))
     points = rng.uniform(-1.0, 1.0, (n, dims))
     points[rng.choice(n, nans, replace=False), rng.integers(dims)] = np.nan
@@ -616,10 +634,16 @@ def test_tiled_kernel_sum_is_the_one_point_sum_bit_for_bit(dims, n, kde,
     # every case prunes, and a tile with a NaN point keeps every center
     assert sum(k.size for k in kept) < 0.97 * len(kept) * m
     assert max(k.size for k in kept) == m or not nans
-    tiled = gaussian_kernel_sum(points, centers, scale, weights)
-    assert np.isnan(tiled).sum() == nans
-    np.testing.assert_array_equal(
-        tiled, one_point_at_a_time(points, centers, scale, weights))
+    pooled = [None] * workers
+
+    def call(k):
+        pooled[k] = gaussian_kernel_sum(points, centers, scale, weights)
+
+    in_callers(call, workers)
+    one_thread = one_point_at_a_time(points, centers, scale, weights)
+    for tiled in pooled:
+        assert np.isnan(tiled).sum() == nans
+        np.testing.assert_array_equal(tiled, one_thread)
 
 
 def test_kernel_sum_starts_no_thread(monkeypatch):
@@ -664,7 +688,8 @@ def test_nan_points_leave_the_tiles_pruned(monkeypatch):
     assert np.isnan(with_nan[2200:]).all()
 
 
-def test_kernel_sum_keeps_the_callers_error_settings():
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_kernel_sum_keeps_the_callers_error_settings(workers):
     # a point and a center at +inf: inf - inf in the last tile's terms
     points = np.linspace(-1.0, 1.0, 200)[:, None]
     points[7] = np.inf
@@ -682,6 +707,24 @@ def test_kernel_sum_keeps_the_callers_error_settings():
         np.delete(quiet, 7),
         one_point_at_a_time(np.delete(points, 7, axis=0), centers[:1],
                             0.1, 1.0))
+    # callers at once, each under settings of its own that it switches
+    # between its sums: a sum raises or stays quiet as its caller says
+    outcomes = [[] for _ in range(workers)]
+
+    def call(k):
+        for invalid in ["raise", "ignore"][k % 2:] + ["raise"] * (k % 2):
+            with np.errstate(invalid=invalid):
+                try:
+                    outcomes[k].append(
+                        gaussian_kernel_sum(points, centers, 0.1, 1.0))
+                except FloatingPointError as error:
+                    outcomes[k].append(error)
+
+    in_callers(call, workers)
+    for k, (first, second) in enumerate(outcomes):
+        raised, summed = (first, second) if k % 2 == 0 else (second, first)
+        assert isinstance(raised, FloatingPointError)
+        np.testing.assert_array_equal(summed, quiet)
 
 
 def test_concurrent_pooled_sums_with_more_threads_than_cpus():
@@ -698,18 +741,7 @@ def test_concurrent_pooled_sums_with_more_threads_than_cpus():
             results[i] = gaussian_kernel_sum(points[i % 3::3], centers,
                                              scale, 1.0)
 
-    # 6 callers at once, switching often: the sum holds no shared state
-    callers = [threading.Thread(target=call, args=(first,))
-               for first in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
+    # 6 callers at once: the sum holds no shared state
+    in_callers(call, 6)
     for i, result in enumerate(results):
         np.testing.assert_array_equal(result, expected[i % 3])
