@@ -26,9 +26,8 @@ tile's bounding box, and one whose kernel is exactly 0.0 all over the box
 transform (Yang, Duraiswami & Gumerov 2003) and of dual-tree kernel sums
 (Gray & Moore 2001). The box bounds take the terms' own floating-point
 operations, so the tiles keep a superset of the terms the rule keeps, and
-skipping changes no bit. The box tests run in the caller: first over the
-box of 16 tiles at a time, then for each of those tiles among the centers
-kept there.
+skipping changes no bit. The tiles are box-tested 16 at a time as the sum
+reaches them: over their joint box, then each among the centers kept there.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ class Kernel(enum.Enum):
 _ZERO_Z2 = 1600.0
 _CUT = 40.0  # a point drops each term this far below its largest log-term
 _TILE_POINTS = 64       # query points per tile
-_TILE_FLOATS = 1 << 22  # cap on the center-point pairs of a tile
-_BOX_FLOATS = 1 << 13  # cap on the tile-center pairs of one box test array
+_TILE_FLOATS = 1 << 22  # cap on the pairs of any one array of a sum
 _BOX_GROUP = 16  # tiles whose box is tested first as one
 
 
@@ -152,18 +150,16 @@ def _box_skip(lo, hi, centers, scale, log_weights):
 
 
 def _kept_centers(x, size, centers, scale, log_weights):
-    """For each tile of ``size`` consecutive rows of ``x``, the centers
-    whose term some point of the tile's bounding box may keep, as
-    ``candidates[keep]``: one (candidates, keep) pair per tile.
+    """Yield, for each tile of ``size`` consecutive rows of ``x`` in turn,
+    the rows of the centers that some point of its bounding box may keep.
 
-    The tiles go in groups of ``_BOX_GROUP``. The centers kept over a
-    group's box, a superset of those its tiles keep, are the candidates
-    for each of its tiles, tested ``_BOX_FLOATS // candidates`` tiles to
-    a (tiles, candidates) array; ``keep`` is a row of a boolean one.
+    The tiles are tested ``_BOX_GROUP`` at a time, as the caller reaches
+    them. The centers kept over a group's box, a superset of those its
+    tiles keep, are the candidates of each of its tiles, all tested in one
+    (tiles, candidates) array, split only past ``_TILE_FLOATS``.
     """
     starts = np.arange(0, x.shape[0], size)
     lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
-    kept = []
     for first in range(0, starts.size, _BOX_GROUP):
         lo_g, hi_g = lo[first:first + _BOX_GROUP], hi[first:first + _BOX_GROUP]
         (skip,) = _box_skip(lo_g.min(axis=0, keepdims=True),
@@ -171,16 +167,15 @@ def _kept_centers(x, size, centers, scale, log_weights):
                             log_weights)
         candidates = np.flatnonzero(~skip)
         if not candidates.size:
-            kept.extend((candidates, np.zeros(0, bool)) for _ in lo_g)
+            yield from (candidates for _ in lo_g)
             continue
         among = (centers.take(candidates, axis=0), _take(scale, candidates),
                  None if log_weights is None
                  else log_weights.take(candidates))
-        step = max(1, _BOX_FLOATS // candidates.size)
+        step = max(1, _TILE_FLOATS // candidates.size)
         for i in range(0, len(lo_g), step):
-            keep = ~_box_skip(lo_g[i:i + step], hi_g[i:i + step], *among)
-            kept.extend((candidates, row) for row in keep)
-    return kept
+            for keep in ~_box_skip(lo_g[i:i + step], hi_g[i:i + step], *among):
+                yield candidates[keep]
 
 
 def gaussian_kernel_sum(points, centers, scale, weights):
@@ -217,16 +212,16 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     if points.shape[0] <= size:
         return _tile_sum(points, centers, scale, weights, log_weights)
     order = _sorted_rows(points, size)
+    x = points.take(order, axis=0)
     out = np.empty(points.shape[0])
-    for i, (candidates, keep) in zip(range(0, len(order), size), _kept_centers(
-            points.take(order, axis=0), size, centers, scale, log_weights)):
-        rows, kept = order[i:i + size], candidates[keep]
+    for i, kept in zip(range(0, len(order), size),
+                       _kept_centers(x, size, centers, scale, log_weights)):
         if not kept.size:
-            out[rows] = 0.0
+            out[order[i:i + size]] = 0.0
             continue
-        out[rows] = _tile_sum(
-            points.take(rows, axis=0), centers.take(kept, axis=0),
-            _take(scale, kept), _take(weights, kept),
+        out[order[i:i + size]] = _tile_sum(
+            x[i:i + size], centers.take(kept, axis=0), _take(scale, kept),
+            _take(weights, kept),
             None if log_weights is None else log_weights.take(kept))
     return out
 
@@ -275,7 +270,7 @@ class TreeProposal:
         pts, single = _as_batch(x, tree.dims)
         if self.kernel is Kernel.UNIFORM:
             rows = tree.locate(pts)
-            vol = (2.0 * tree.level_radius_array) ** tree.dims
+            vol = (2.0 * tree.level_radii) ** tree.dims
             comp = (np.cumsum(1.0 / vol) / len(tree) if every_node
                     else 1.0 / (tree.leaf_indices().size * vol))
             acc = np.where(rows >= 0, comp.take(tree.level.take(rows)),

@@ -288,7 +288,7 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         values = store(rows, points, q)
         tree.sample[rows] = points
         if use_heap:
-            radius_pow = tree.level_radii[tree.level[rows.start]] ** dims
+            radius_pow = tree.level_radii.item(tree.level[rows.start]) ** dims
             for row, f in enumerate(values.tolist(), start=rows.start):
                 heapq.heappush(frontier, (-(f * radius_pow), row))
 

@@ -165,7 +165,7 @@ class Node:
 
     @property
     def radius(self) -> float:
-        return self.tree.level_radii[self.level]
+        return self.tree.level_radii.item(self.level)
 
     @property
     def level(self) -> int:
@@ -201,8 +201,8 @@ class TreePyramid:
     attributes; row ``i`` is node ``i`` and the root is row 0:
 
     - its cell: ``center`` (K,) and ``level``; every cell of one level
-      has the same radius, ``level_radii[level]`` (a list of floats, also
-      held as the array ``level_radius_array``);
+      has the same radius, ``level_radii[level]`` (an array, one float
+      per level reached);
     - its place in the tree: ``first_child``, the row of its first child
       or -1, so a row is a leaf exactly when ``first_child < 0``;
     - its last draw: ``sample`` (K,), ``target_value`` and ``weight``,
@@ -224,8 +224,7 @@ class TreePyramid:
         self._bits = 1 << np.arange(self.dims - 1, -1, -1)
         self._signs = np.where(np.arange(2 ** self.dims)[:, None] & self._bits,
                                -1.0, 1.0)
-        self.level_radii = [bounds.radius]  # radius of each level reached
-        self.level_radius_array = np.array(self.level_radii)
+        self.level_radii = np.array([bounds.radius])
         self._child_offsets = []  # half * signs for the children of a level
         self._size = 0
         for name, per_dim, dtype, fill in _COLUMNS:
@@ -267,7 +266,7 @@ class TreePyramid:
 
     def radii(self, rows) -> np.ndarray:
         """Radius of each node at ``rows`` (an int array or a slice)."""
-        return self.level_radius_array.take(self.level[rows])
+        return self.level_radii.take(self.level[rows])
 
     def expand(self, row) -> int:
         """Split the leaf at row ``row`` into its 2**K children and return
@@ -288,11 +287,9 @@ class TreePyramid:
             raise DepthLimitError(
                 f"expansion past depth cap {MAX_DEPTH}; the tree cannot "
                 "refine further")
-        half = self.level_radii[level] / 2.0
+        half = self.level_radii.item(level) / 2.0
         if level + 1 == len(self.level_radii):
-            self.level_radii.append(half)
-            self.level_radius_array = np.append(self.level_radius_array,
-                                                half)
+            self.level_radii = np.append(self.level_radii, half)
             self._child_offsets.append(half * self._signs)
         first = self._append(self.center[i] + self._child_offsets[level],
                              level + 1)

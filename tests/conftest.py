@@ -105,7 +105,7 @@ def serialize_tree(tree: TreePyramid) -> str:
         weight, sample = float(tree.weight[row]), tree.sample[row].tolist()
         fields = [str(tree.level[row]),
                   *map(repr, tree.center[row].tolist()),
-                  repr(tree.level_radii[tree.level[row]]),
+                  repr(tree.level_radii.item(tree.level[row])),
                   "-" if math.isnan(weight) else repr(weight),
                   *(["-"] if math.isnan(sample[0]) else map(repr, sample))]
         lines.append(" ".join(fields))

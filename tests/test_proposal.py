@@ -464,9 +464,9 @@ def kernel_sum_case(seed, dims, n, m, per_center):
 @given(seed=st.integers(0, 2 ** 32 - 1), dims=st.integers(1, 3),
        n=st.integers(1, 300), m=st.integers(1, 80), per_center=st.booleans(),
        tile=st.integers(1, 70), floats=st.integers(1, 5000),
-       box=st.integers(1, 5000), group=st.integers(1, 20))
+       group=st.integers(1, 20))
 def test_kernel_sum_is_the_sequential_sum_in_any_tiling(
-        seed, dims, n, m, per_center, tile, floats, box, group):
+        seed, dims, n, m, per_center, tile, floats, group):
     points, centers, scale, weights = kernel_sum_case(seed, dims, n, m,
                                                       per_center)
     batch = gaussian_kernel_sum(points, centers, scale, weights)
@@ -481,7 +481,6 @@ def test_kernel_sum_is_the_sequential_sum_in_any_tiling(
         rtol=1e-13, atol=0.0)
     with mock.patch.object(proposal, "_TILE_POINTS", tile), \
             mock.patch.object(proposal, "_TILE_FLOATS", floats), \
-            mock.patch.object(proposal, "_BOX_FLOATS", box), \
             mock.patch.object(proposal, "_BOX_GROUP", group):
         np.testing.assert_array_equal(
             gaussian_kernel_sum(points, centers, scale, weights), batch)
@@ -532,9 +531,9 @@ def test_kernel_sum_cut_keeps_terms_inside_and_drops_those_beyond():
     assert math.exp(-0.5 * proposal._ZERO_Z2) == 0.0
     scale = 1e-3
     beyond = 1.0 + math.sqrt(proposal._ZERO_Z2) * scale * (1.0 + 1e-12)
-    ((candidates, keep),) = proposal._kept_centers(
-        points, 200, np.array([[beyond]]), scale, None)
-    assert candidates[keep].size == 0
+    (kept,) = proposal._kept_centers(points, 200, np.array([[beyond]]),
+                                     scale, None)
+    assert kept.size == 0
     assert gaussian_kernel_sum(points, np.array([[beyond]]), scale,
                                1.0).max() == 0.0
 
@@ -571,20 +570,24 @@ def test_gaussian_mixture_density_is_the_same_alone_or_in_any_batch(
 def test_all_node_kernel_sum_memory_is_bounded():
     # The Gaussian all-node density of a run's N samples is an N x N sum.
     # At N=32768 one block would hold 8 GiB; a tile holds at most 64
-    # points against every center, 16 MiB per array.
-    result = run_tp_ais(make_gmm5_target(np.random.default_rng(43), 1),
-                        SamplerConfig(dims=1, n_samples=32768,
-                                      kernel=Kernel.GAUSSIAN, seed=44))
-    mixture = TreeProposal(result.tree, Kernel.GAUSSIAN)
-    samples = result.sample_set.samples
-    tracemalloc.start()
-    try:
-        density = mixture.density(samples, every_node=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert density.shape == (len(result.tree),) and np.all(density > 0.0)
-    assert peak < 48 * 2 ** 20
+    # points against the centers it keeps, at most 16 MiB per array, and
+    # a group's box test at most 2**22 tile-center pairs. The peaks are
+    # about 4 MiB in 1D and 17 MiB in 2D, where the tiles keep more.
+    for dims, mib in ((1, 48), (2, 32)):
+        result = run_tp_ais(
+            make_gmm5_target(np.random.default_rng(43), dims),
+            SamplerConfig(dims=dims, n_samples=32768, kernel=Kernel.GAUSSIAN,
+                          seed=44))
+        mixture = TreeProposal(result.tree, Kernel.GAUSSIAN)
+        samples = result.sample_set.samples
+        tracemalloc.start()
+        try:
+            density = mixture.density(samples, every_node=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert density.shape == (len(result.tree),) and np.all(density > 0)
+        assert peak < mib * 2 ** 20
 
 
 def one_point_at_a_time(points, centers, scale, weights):
@@ -628,9 +631,9 @@ def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
     else:  # narrow leaves of uneven size, as in a deep tree
         scale = 10.0 ** rng.uniform(-3.0, -1.5, m)
         weights = rng.uniform(0.1, 10.0, m)
-    kept = [candidates[keep] for candidates, keep in proposal._kept_centers(
+    kept = list(proposal._kept_centers(
         points.take(proposal._sorted_rows(points, 64), axis=0), 64, centers,
-        scale, None if kde else np.log(weights))]
+        scale, None if kde else np.log(weights)))
     # every case prunes, and a tile with a NaN point keeps every center
     assert sum(k.size for k in kept) < 0.97 * len(kept) * m
     assert max(k.size for k in kept) == m or not nans
@@ -662,6 +665,25 @@ def test_kernel_sum_starts_no_thread(monkeypatch):
         one_point_at_a_time(points[some], centers, 0.05, 1.0 / 1024))
 
 
+def test_box_tests_run_one_group_at_a_time(monkeypatch):
+    # three groups of tiles: a group's two box tests (its box, then its
+    # tiles) run when the sum reaches its first tile, not before
+    rng = np.random.default_rng(derive_seed("box groups"))
+    points = np.sort(rng.uniform(-1.0, 1.0, 3 * proposal._BOX_GROUP * 64))
+    centers = rng.uniform(-1.0, 1.0, (200, 1))
+    box_skip, calls = proposal._box_skip, []
+
+    def counted(lo, *args):
+        calls.append(len(lo))
+        return box_skip(lo, *args)
+
+    monkeypatch.setattr(proposal, "_box_skip", counted)
+    tiles = proposal._kept_centers(points[:, None], 64, centers, 0.05, None)
+    assert next(tiles).size and calls == [1, proposal._BOX_GROUP]
+    assert len(list(tiles)) == 3 * proposal._BOX_GROUP - 1
+    assert calls == [1, proposal._BOX_GROUP] * 3
+
+
 def test_nan_points_leave_the_tiles_pruned(monkeypatch):
     # the grid spans the finite coordinates, so the NaN rows sort last and
     # cost one tile that keeps every center (a NaN box reaches all)
@@ -673,8 +695,8 @@ def test_nan_points_leave_the_tiles_pruned(monkeypatch):
     kept_centers, kept = proposal._kept_centers, []
 
     def counted(*args):
-        tiles = kept_centers(*args)
-        kept.append([candidates[keep].size for candidates, keep in tiles])
+        tiles = list(kept_centers(*args))
+        kept.append([rows.size for rows in tiles])
         return tiles
 
     monkeypatch.setattr(proposal, "_kept_centers", counted)

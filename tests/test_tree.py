@@ -120,10 +120,11 @@ def test_radius_law_exact():
                      slice(3, len(tree), 2)):
             assert tree.radii(rows).tolist() == [
                 Node(tree, row).radius for row in every[rows]]
-        # the array of level radii follows the list, which stays Python
-        # floats (their repr is part of every tree golden)
-        assert tree.level_radius_array.tolist() == tree.level_radii
-        assert {type(r) for r in tree.level_radii} == {float}
+        # one float64 per level reached, each half the one above
+        assert tree.level_radii.dtype == np.float64
+        assert tree.level_radii.tolist() == [
+            half_width / 2 ** level
+            for level in range(tree.level[:len(tree)].max() + 1)]
 
 
 def test_partition_fuzz():
