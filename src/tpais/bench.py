@@ -17,7 +17,8 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .baselines import MHConfig, PMCConfig, run_mh, run_pmc
-from .metrics import LN2, KDEModel, ess_mcmc, evidence_estimate, jsd, ness_is
+from .metrics import (LN2, KDEModel, ess_mcmc, evidence_estimate,
+                      evidence_mse, jsd, ness_is)
 from .proposal import Kernel, TreeProposal
 from .sampler import (NodeSelection, SamplerConfig, _scale,
                       evidence_from_tree, leaf_sample_set, run_tp_ais)
@@ -219,7 +220,7 @@ def run_single(spec: ExperimentSpec, method: str, family: str, dims: int,
                          metrics_rng)
         row.ness = ness
         row.jsd = min(max(divergence, 0.0), LN2)
-        row.evidence_mse = (evidence - 1.0) ** 2
+        row.evidence_mse = evidence_mse(evidence)
     except Exception as exc:  # noqa: BLE001 - error rows must not abort runs
         row.error = f"{type(exc).__name__}: {exc}"
     return row

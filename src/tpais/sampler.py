@@ -167,16 +167,13 @@ class _SumTree:
     of ``levels[d]``, and ``levels[-1][0]`` is the total. A sum is always
     recomputed from its two children, never shifted by a difference, so
     slots that are all zero sum to exactly 0.0. The levels are NumPy
-    arrays as built and lists once ``set`` has grown them, since its
+    arrays as built and lists once ``set`` first writes them, since its
     scalar steps are faster on lists.
     """
 
-    def __init__(self, slots=(0.0,)):
-        self._build(np.asarray(slots, dtype=float))
-
-    def _build(self, slots: np.ndarray) -> None:
-        size = 1 << max(len(slots) - 1, 0).bit_length()
-        level = np.zeros(size)
+    def __init__(self, slots):
+        slots = np.asarray(slots, dtype=float)
+        level = np.zeros(1 << max(len(slots) - 1, 0).bit_length())
         level[:len(slots)] = slots
         self.levels = [level]
         while len(level) > 1:
@@ -185,13 +182,10 @@ class _SumTree:
 
     def set(self, first: int, values: list) -> None:
         """Set the slots from ``first`` on to the floats ``values`` and
-        recompute their sums; the slots double in number as needed."""
-        end = first + len(values)
-        if end > len(self.levels[0]):
-            slots = np.zeros(end)
-            slots[:len(self.levels[0])] = self.levels[0]
-            self._build(slots)
+        recompute their sums."""
+        if not isinstance(self.levels[0], list):
             self.levels = [level.tolist() for level in self.levels]
+        end = first + len(values)
         below = self.levels[0]
         below[first:end] = values
         lo, hi = first >> 1, (end - 1) >> 1
@@ -251,20 +245,22 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
 
     Notes
     -----
-    Without resampling every node is drawn once, when it is created, so
-    the returned set holds the tree's rows in creation order. Max-evidence
-    selection then pops the leaf to split from a heap keyed by
-    ``(-target_value * radius**K, row)``: the earliest-created leaf wins
-    ties, as ``argmax`` over the insertion-ordered leaves does. Mixture
-    draws keep each row's ``weight * radius**K`` (zero once split) in a
-    sum tree and draw by descending it. Either way a split costs
-    O(2**K log N). Resampling changes every leaf's score and weight in
-    each iteration, so it selects over the listed leaves' arrays instead.
-    With resampling, the rows a split makes are first evaluated in the
-    next listing, which redraws them before any of their values is read;
-    their first draw is only taken from the random stream. The children
-    of the last split, or the root of a run without splits, are evaluated
-    after the loop.
+    Each iteration has one branch per selection rule. It draws the rows
+    made last (the root, then the last split's children), scores them and
+    chooses the leaf to split. Without resampling every node is drawn
+    once, when it is created, so the returned set holds the tree's rows in
+    creation order. Max-evidence selection pushes the new rows onto a heap
+    keyed by ``(-target_value * radius**K, row)`` and pops the leaf to
+    split: the earliest-created leaf wins ties, as ``argmax`` over the
+    insertion-ordered leaves does. Mixture draws set the new rows'
+    ``weight * radius**K`` in a sum tree, sized once from the run's row
+    count, draw by descending it and zero the chosen slot. Either way a
+    split costs O(2**K log N). Resampling changes every leaf's score and
+    weight in each iteration, so it lists the leaves, with the rows made
+    last first, in one draw call and selects over the listing's arrays;
+    the first draw of the new rows is only taken from the random stream.
+    The children of the last split, or the root of a run without splits,
+    are drawn after the loop.
     """
     rng = np.random.default_rng(config.seed)
     tree = TreePyramid(config.bounds)
@@ -272,9 +268,12 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     dims = config.dims
     resample = config.resample_leaves
     greedy = config.node_selection is NodeSelection.MAX_EVIDENCE
-    use_heap = greedy and not resample
+    # each split adds 2**K samples, or 2**K - 1 when only leaves are kept
+    splits = math.ceil((config.n_samples - 1)
+                       / (2 ** dims - 1 if resample else 2 ** dims))
     frontier = []  # (-target_value * radius**K, row) of every leaf
-    sums = _SumTree()  # weight * radius**K of every row, 0 once split
+    if not (resample or greedy):  # weight * radius**K per row, 0 once split
+        sums = _SumTree(np.zeros(1 + splits * 2 ** dims))
     listed = None  # rows and points of the leaves resampled last
 
     def store(rows, points, q):
@@ -285,36 +284,21 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
 
     def sample_new(rows):
         points, q = proposal.draw(rows, rng)
-        values = store(rows, points, q)
         tree.sample[rows] = points
-        if use_heap:
-            radius_pow = tree.level_radii.item(tree.level[rows.start]) ** dims
-            for row, f in enumerate(values.tolist(), start=rows.start):
-                heapq.heappush(frontier, (-(f * radius_pow), row))
+        return store(rows, points, q)
 
-    # each split adds 2**K samples, or 2**K - 1 when only leaves are kept
-    grown = 2 ** dims - 1 if resample else 2 ** dims
     fresh = slice(0, 1)  # the rows made last: the root, then the children
-    if not resample:
-        sample_new(fresh)
-    for _ in range(math.ceil((config.n_samples - 1) / grown)):
-        if use_heap:
-            chosen = heapq.heappop(frontier)[1]
-        elif not resample:
-            sums.set(fresh.start, mixture_weights(tree, fresh).tolist())
-            chosen = sums.draw(rng)
-            sums.set(chosen, [0.0])
-        else:
+    for _ in range(splits):
+        if resample:
             # the rows made last are listed too: their first draw, never
             # read, leads this call to keep the random stream and is
             # dropped. A leaf's point is written when it is split or the
             # loop ends.
             leaves = tree.leaf_indices()
-            made = fresh.stop - fresh.start
             points, q = proposal.draw(
                 np.concatenate((np.arange(fresh.start, fresh.stop), leaves)),
                 rng)
-            points, q = points[made:], q[made:]
+            points, q = points[-leaves.size:], q[-leaves.size:]
             values = store(leaves, points, q)
             if greedy:
                 j = int(np.argmax(values * tree.radii(leaves) ** dims))
@@ -323,16 +307,24 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
             chosen = leaves[j]
             tree.sample[chosen] = points[j]
             listed = leaves, points
+        elif greedy:
+            values = sample_new(fresh)
+            radius_pow = tree.level_radii.item(tree.level[fresh.start]) ** dims
+            for row, f in enumerate(values.tolist(), start=fresh.start):
+                heapq.heappush(frontier, (-(f * radius_pow), row))
+            chosen = heapq.heappop(frontier)[1]
+        else:
+            sample_new(fresh)
+            sums.set(fresh.start, mixture_weights(tree, fresh).tolist())
+            chosen = sums.draw(rng)
+            sums.set(chosen, [0.0])
         first = tree.expand(chosen)
         fresh = slice(first, first + 2 ** dims)
-        if not resample:
-            sample_new(fresh)
 
-    if resample:
-        # the last split's children, or the root of a run without splits
-        sample_new(fresh)
-        if listed is not None:
-            tree.sample[listed[0]] = listed[1]
+    # the last split's children, or the root of a run without splits
+    sample_new(fresh)
+    if listed is not None:
+        tree.sample[listed[0]] = listed[1]
 
     rows = tree.leaf_indices() if resample else np.arange(len(tree))
     return TPAISResult(_stored_set(proposal, rows, config.weighting,

@@ -137,6 +137,22 @@ def test_run_single_all_methods():
             assert row.evidence_mse >= 0.0
 
 
+def test_evidence_score_is_the_exact_square(monkeypatch):
+    # CPython's float ** calls libm pow, which can round this square one
+    # ulp above the exact d * d; the row takes metrics.evidence_mse
+    evidence = 1.930806446803937
+    sample, report = METHODS["tpais"]
+
+    def fixed(state, target, spec):
+        ness, _, density = report(state, target, spec)
+        return ness, evidence, density
+
+    monkeypatch.setitem(bench.METHODS, "tpais", (sample, fixed))
+    row = run_single(TINY, "tpais", "normal", 1, 16, 0, clock=_ZERO_CLOCK)
+    d = evidence - 1.0
+    assert row.error is None and row.evidence_mse == d * d
+
+
 def test_error_rows_do_not_abort():
     spec = ExperimentSpec(methods=("tpais",), families=("egg",), dims=(8,),
                           sample_counts=(16,), trials=2, base_seed=0,

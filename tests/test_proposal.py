@@ -319,9 +319,9 @@ def test_mixture_weights_reject_bad_values(bad):
 
 
 def _grown_sums(values):
-    """A ``_SumTree`` given ``values`` one slot at a time, as a run without
-    resampling sets them, so its slots grow by doubling."""
-    sums = _SumTree()
+    """A ``_SumTree`` of zero slots, sized for ``values``, then given them
+    one slot at a time, as a run without resampling sets them."""
+    sums = _SumTree(np.zeros(len(values)))
     for slot, value in enumerate(values):
         sums.set(slot, [float(value)])
     return sums
@@ -375,10 +375,10 @@ def test_sum_tree_frequencies_match_the_categorical(build):
 
 
 def test_sum_tree_never_draws_a_zeroed_slot():
-    # as in a run: the drawn slot is zeroed and four new ones appended, one
-    # of them zero; the slots double from 1 to 32 on the way
+    # as in a run: the drawn slot is zeroed and four new ones set, one of
+    # them zero; the tree is sized once for all 29 rows, padded to 32
     rng = np.random.default_rng(11)
-    sums = _SumTree()
+    sums = _SumTree(np.zeros(29))
     sums.set(0, [1.0])
     live, end = {0}, 1
     for _ in range(7):

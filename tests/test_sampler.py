@@ -200,6 +200,34 @@ def test_mixture_draw_lists_no_leaves_without_resampling(monkeypatch):
     assert len(result.tree) == 257 and calls == []
 
 
+@pytest.mark.parametrize("selection, resample, built", [
+    (NodeSelection.MIXTURE_DRAW, False, 1),
+    (NodeSelection.MAX_EVIDENCE, False, 0),
+    (NodeSelection.MAX_EVIDENCE, True, 0),
+], ids=["mix", "heap", "argmax-resample"])
+def test_sum_tree_is_sized_once_for_the_run(monkeypatch, selection, resample,
+                                            built):
+    # a mixture draw without resampling sets its rows in one sum tree,
+    # sized before the first split for the run's 1 + 25 * 4 rows; greedy
+    # runs build none
+    trees = []
+
+    class Spied(sampler._SumTree):
+        def __init__(self, *slots):
+            super().__init__(*slots)
+            trees.append((self, len(self.levels[0])))
+
+    monkeypatch.setattr(sampler, "_SumTree", Spied)
+    target = make_gmm5_target(np.random.default_rng(3), 2)
+    result = run_tp_ais(target, SamplerConfig(
+        dims=2, n_samples=100, node_selection=selection,
+        resample_leaves=resample, seed=4))
+    assert len(trees) == built
+    for sums, slots in trees:
+        assert len(result.tree) == 101
+        assert slots == len(sums.levels[0]) == 128
+
+
 class CountingTarget:
     """The gmm5 target, recording the number of points of each call; from
     call ``negative_from`` on (counting from 0) it returns -1 at every
