@@ -17,17 +17,21 @@ positive wherever the largest term does not underflow. The rule reads the
 point alone, and the kept terms are added in center order, so a point's
 value is the same bits alone, in any batch, tile, order or thread.
 
-Large batches are taken in spatially sorted tiles, and each tile skips the
-centers that none of its points keeps: a center whose log-term stays
-more than 40 below a lower bound on every point's largest all over the
-tile's bounding box, and one whose kernel is exactly 0.0 all over the box
-(``exp(-0.5 * z**2)`` is 0.0 in float64 once ``z**2`` exceeds about
-1490). This is the cutoff with an error bound of the improved fast Gauss
-transform (Yang, Duraiswami & Gumerov 2003) and of dual-tree kernel sums
-(Gray & Moore 2001). The box bounds take the terms' own floating-point
-operations, so the tiles keep a superset of the terms the rule keeps, and
-skipping changes no bit. The tiles are box-tested 16 at a time as the sum
-reaches them: over their joint box, then each among the centers kept there.
+Large batches are taken in tiles that follow a grid over the batch's
+bounding box: a tile is the points of one grid cell, the cells are
+visited in Z-order (Morton 1966), and a cell with more points than a tile
+may hold is cut into runs that follow the Z-order of a finer grid. Each
+tile skips the centers that none of its points keeps: a center whose
+log-term stays more than 40 below a lower bound on every point's largest
+all over the tile's bounding box, and one whose kernel is exactly 0.0 all
+over the box (``exp(-0.5 * z**2)`` is 0.0 in float64 once ``z**2``
+exceeds about 1490). This is the cutoff with an error bound of the
+improved fast Gauss transform (Yang, Duraiswami & Gumerov 2003) and of
+dual-tree kernel sums (Gray & Moore 2001). The box bounds take the terms'
+own floating-point operations, so the tiles keep a superset of the terms
+the rule keeps, and skipping changes no bit. The tiles are box-tested 16
+at a time as the sum reaches them (in 2D, a 4 x 4 block of cells): over
+their joint box, then each among the centers kept there.
 """
 
 from __future__ import annotations
@@ -50,24 +54,58 @@ class Kernel(enum.Enum):
 # exp(-0.5 * z2) is exactly 0.0 in float64 once z2 > 1490.3
 _ZERO_Z2 = 1600.0
 _CUT = 40.0  # a point drops each term this far below its largest log-term
-_TILE_POINTS = 64       # query points per tile
+_TILE_POINTS = 64       # query points per grid cell (four times in 1D)
 _TILE_FLOATS = 1 << 22  # cap on the pairs of any one array of a sum
 _BOX_GROUP = 16  # tiles whose box is tested first as one
 
 
-def _sorted_rows(points: np.ndarray, size: int):
-    """The rows of ``points`` sorted by the cell of a grid over the
-    bounding box of their finite coordinates with about ``size`` points
-    per cell, so that each tile of ``size`` consecutive rows lies
-    together."""
+def _sorted_rows(points: np.ndarray, per_cell: int, rows: int):
+    """The order that sorts the rows of ``points`` by the cell of a grid
+    over the bounding box of their finite coordinates, with about
+    ``per_cell`` points per cell and at least ``_BOX_GROUP`` cells, and
+    the first sorted row of each tile: a tile is the rows of one cell,
+    cut into runs of at most ``rows``. The rows with a non-finite
+    coordinate sort last, as one more cell.
+
+    Cells are visited in Z-order: the Morton key of a cell puts bit b of
+    its index on axis k at bit ``b * K + k``, so that each aligned block
+    of 2**(jK) cells is a run of keys. Inside a cell the rows follow the
+    same order on a grid about ``per_cell`` times finer, so that each run
+    of a fuller cell lies together. The key holds at most 62 bits, which
+    caps both grids past 31 axes (past 62, the grid is one cell).
+    """
     n, dims = points.shape
-    finite = np.isfinite(points)
-    lo = np.where(finite, points, np.inf).min(axis=0)
-    span = np.where(finite, points, -np.inf).max(axis=0) - lo
-    cells = max(1, round((n / size) ** (1.0 / dims)))
-    per_unit = np.divide(cells, span, out=np.zeros(dims), where=span > 0.0)
-    with np.errstate(invalid="ignore"):  # a non-finite point sorts anywhere
-        return np.lexsort(np.floor((points - lo) * per_unit).T)
+    room = 62 // dims  # key bits per axis; bit 62 marks non-finite rows
+    cells = min(max(round((n / per_cell) ** (1.0 / dims)),  # per axis
+                    math.ceil(_BOX_GROUP ** (1.0 / dims))), 1 << room)
+    finer = min(-(-(per_cell - 1).bit_length() // dims),  # bits per axis
+                room - (cells - 1).bit_length())
+    fine = cells << finer  # the finer grid's cells per axis
+    bits = (fine - 1).bit_length()
+    spread = np.zeros(1, dtype=np.int64)  # each index's bits, K apart
+    for b in range(bits):
+        spread = np.concatenate((spread, spread | (1 << (b * dims))))
+    key = np.zeros(n, dtype=np.int64)
+    finite = np.ones(n, dtype=bool)
+    for k, column in enumerate(points.T):  # a column at a time is faster
+        ok = np.isfinite(column)
+        finite &= ok
+        lo = np.where(ok, column, np.inf).min()
+        span = np.where(ok, column, -np.inf).max() - lo
+        cell = np.zeros(n)
+        if 0.0 < span < math.inf:  # else every row is in cell 0
+            cell = np.minimum(np.floor((column - lo) * (fine / span)),
+                              fine - 1)
+        # a non-finite row sorts as cell 0 here, and last below
+        key |= spread.take(np.where(ok, cell, 0.0).astype(np.intp)) << k
+    key[~finite] = 1 << (bits * dims)
+    order = np.argsort(key)
+    key = key.take(order) >> (finer * dims)  # the cell's own key
+    cell_starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    tiles = -(-np.diff(cell_starts, append=n) // rows)  # per cell
+    first = np.repeat(cell_starts, tiles)
+    nth = np.arange(first.size) - np.repeat(np.cumsum(tiles) - tiles, tiles)
+    return order, first + nth * rows
 
 
 def _per_center(value, m):
@@ -149,17 +187,20 @@ def _box_skip(lo, hi, centers, scale, log_weights):
     return np.logical_or(skip, zero, out=skip)
 
 
-def _kept_centers(x, size, centers, scale, log_weights):
-    """Yield, for each tile of ``size`` consecutive rows of ``x`` in turn,
-    the rows of the centers that some point of its bounding box may keep.
+def _kept_centers(x, starts, centers, scale, log_weights):
+    """Yield, for each tile of ``x`` in turn (the rows from one of
+    ``starts`` to the next), the rows of the centers that some point of
+    its bounding box may keep; a box with a non-finite bound keeps every
+    center.
 
     The tiles are tested ``_BOX_GROUP`` at a time, as the caller reaches
     them. The centers kept over a group's box, a superset of those its
     tiles keep, are the candidates of each of its tiles, all tested in one
     (tiles, candidates) array, split only past ``_TILE_FLOATS``.
     """
-    starts = np.arange(0, x.shape[0], size)
     lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+    unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
+    lo[unbounded] = hi[unbounded] = np.nan  # a NaN bound skips nothing
     for first in range(0, starts.size, _BOX_GROUP):
         lo_g, hi_g = lo[first:first + _BOX_GROUP], hi[first:first + _BOX_GROUP]
         (skip,) = _box_skip(lo_g.min(axis=0, keepdims=True),
@@ -192,11 +233,14 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     underflow. The kept terms are added one center at a time in center
     order, over a centers × points block with ``z**2`` summed in dimension
     order, so a point's value is the same bits alone and in any batch,
-    tile, order or thread. A batch that fits one tile of ``_TILE_POINTS``
-    points and ``_TILE_FLOATS`` center-point pairs is one block. A larger
-    one is taken in spatially sorted tiles, each against the centers that
-    its box test keeps. One scale or weight is divided and multiplied as
-    a Python float.
+    tile, order or thread. A batch that fits one grid cell is one block. A
+    larger one is taken one cell at a time, in Z-order, each cell against
+    the centers that its box test keeps. A cell holds about
+    ``_TILE_POINTS`` points, ``4 * _TILE_POINTS`` in 1D, where a cell of
+    a 20000-point batch is still about 1/80 of the span and the cost is
+    per tile, not in box slack; and no tile holds more than
+    ``_TILE_FLOATS`` center-point pairs. One scale or weight is divided
+    and multiplied as a Python float.
     """
     m = centers.shape[0]
     if not m:
@@ -206,21 +250,23 @@ def gaussian_kernel_sum(points, centers, scale, weights):
     if not isinstance(weights, float):
         with np.errstate(divide="ignore"):  # a zero weight's is -inf
             log_weights = np.log(weights)
-    size = max(1, min(_TILE_POINTS, _TILE_FLOATS // m))
-    # one small batch, as in DM-PMC: a sort and a box test would cost
+    rows = max(1, _TILE_FLOATS // m)  # the most rows of a tile
+    per_cell = min(_TILE_POINTS * (4 if points.shape[1] == 1 else 1), rows)
+    # a batch in one cell, as in DM-PMC: a sort and a box test would cost
     # about as much as its kernels
-    if points.shape[0] <= size:
+    if points.shape[0] <= per_cell:
         return _tile_sum(points, centers, scale, weights, log_weights)
-    order = _sorted_rows(points, size)
+    order, starts = _sorted_rows(points, per_cell, rows)
     x = points.take(order, axis=0)
     out = np.empty(points.shape[0])
-    for i, kept in zip(range(0, len(order), size),
-                       _kept_centers(x, size, centers, scale, log_weights)):
+    bounds = starts.tolist() + [len(order)]
+    for i, j, kept in zip(bounds, bounds[1:], _kept_centers(
+            x, starts, centers, scale, log_weights)):
         if not kept.size:
-            out[order[i:i + size]] = 0.0
+            out[order[i:j]] = 0.0
             continue
-        out[order[i:i + size]] = _tile_sum(
-            x[i:i + size], centers.take(kept, axis=0), _take(scale, kept),
+        out[order[i:j]] = _tile_sum(
+            x[i:j], centers.take(kept, axis=0), _take(scale, kept),
             _take(weights, kept),
             None if log_weights is None else log_weights.take(kept))
     return out

@@ -272,6 +272,9 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     splits = math.ceil((config.n_samples - 1)
                        / (2 ** dims - 1 if resample else 2 ** dims))
     frontier = []  # (-target_value * radius**K, row) of every leaf
+    # radius**K per level as NumPy takes it for the listing's argmax and
+    # mixture_weights: a Python float ** can round it one ulp apart
+    radius_pows = []
     if not (resample or greedy):  # weight * radius**K per row, 0 once split
         sums = _SumTree(np.zeros(1 + splits * 2 ** dims))
     listed = None  # rows and points of the leaves resampled last
@@ -309,7 +312,10 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
             listed = leaves, points
         elif greedy:
             values = sample_new(fresh)
-            radius_pow = tree.level_radii.item(tree.level[fresh.start]) ** dims
+            level = tree.level.item(fresh.start)
+            if level == len(radius_pows):  # the first node of a new level
+                radius_pows = (tree.level_radii ** dims).tolist()
+            radius_pow = radius_pows[level]
             for row, f in enumerate(values.tolist(), start=fresh.start):
                 heapq.heappush(frontier, (-(f * radius_pow), row))
             chosen = heapq.heappop(frontier)[1]

@@ -516,7 +516,7 @@ def test_kernel_sum_is_positive_where_the_dense_sum_is(seed, dims, n, m):
 def test_kernel_sum_cut_keeps_terms_inside_and_drops_those_beyond():
     # at x = 0, 4096 equal terms at z**2 = 2 * _CUT, each e**-40 of the
     # largest, then a unit term: too small to show alone, 1.7e-14 together
-    points = np.linspace(0.0, 1.0, 200)[:, None]  # several tiles
+    points = np.linspace(0.0, 1.0, 1000)[:, None]  # several tiles
     for factor, kept in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
         edge = math.sqrt(2.0 * proposal._CUT * factor)
         centers = np.vstack([np.full((4096, 1), edge), [[0.0]]])
@@ -531,8 +531,8 @@ def test_kernel_sum_cut_keeps_terms_inside_and_drops_those_beyond():
     assert math.exp(-0.5 * proposal._ZERO_Z2) == 0.0
     scale = 1e-3
     beyond = 1.0 + math.sqrt(proposal._ZERO_Z2) * scale * (1.0 + 1e-12)
-    (kept,) = proposal._kept_centers(points, 200, np.array([[beyond]]),
-                                     scale, None)
+    (kept,) = proposal._kept_centers(points, np.array([0]),
+                                     np.array([[beyond]]), scale, None)
     assert kept.size == 0
     assert gaussian_kernel_sum(points, np.array([[beyond]]), scale,
                                1.0).max() == 0.0
@@ -595,6 +595,20 @@ def one_point_at_a_time(points, centers, scale, weights):
                                                weights) for x in points])
 
 
+def kept_per_tile(points, centers, scale, weights):
+    """The number of centers that each tile of the sum keeps, in turn."""
+    kept_centers, kept = proposal._kept_centers, []
+
+    def counted(*args):
+        for rows in kept_centers(*args):
+            kept.append(rows.size)
+            yield rows
+
+    with mock.patch.object(proposal, "_kept_centers", counted):
+        gaussian_kernel_sum(points, centers, scale, weights)
+    return kept
+
+
 def in_callers(call, workers):
     """Run call(k) for k < workers, each in a caller thread of its own, all
     at once and switching often."""
@@ -612,7 +626,7 @@ def in_callers(call, workers):
     assert not any(caller.is_alive() for caller in callers)
 
 
-# 2 to 79 tiles of 64 points, summed by a pool of 2 or 3 caller threads
+# 16 to 65 tiles of one grid cell each, summed by 2 or 3 caller threads
 # (NaN points in a pruned 1D batch: test_nan_points_leave_the_tiles_pruned)
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("dims, n, kde, nans", [
@@ -631,12 +645,10 @@ def test_pooled_kernel_sum_is_the_one_thread_sum_bit_for_bit(
     else:  # narrow leaves of uneven size, as in a deep tree
         scale = 10.0 ** rng.uniform(-3.0, -1.5, m)
         weights = rng.uniform(0.1, 10.0, m)
-    kept = list(proposal._kept_centers(
-        points.take(proposal._sorted_rows(points, 64), axis=0), 64, centers,
-        scale, None if kde else np.log(weights)))
+    kept = kept_per_tile(points, centers, scale, weights)
     # every case prunes, and a tile with a NaN point keeps every center
-    assert sum(k.size for k in kept) < 0.97 * len(kept) * m
-    assert max(k.size for k in kept) == m or not nans
+    assert sum(kept) < 0.97 * len(kept) * m
+    assert max(kept) == m or not nans
     pooled = [None] * workers
 
     def call(k):
@@ -678,36 +690,179 @@ def test_box_tests_run_one_group_at_a_time(monkeypatch):
         return box_skip(lo, *args)
 
     monkeypatch.setattr(proposal, "_box_skip", counted)
-    tiles = proposal._kept_centers(points[:, None], 64, centers, 0.05, None)
+    starts = np.arange(0, points.size, 64)  # tiles of 64 points
+    tiles = proposal._kept_centers(points[:, None], starts, centers, 0.05,
+                                   None)
     assert next(tiles).size and calls == [1, proposal._BOX_GROUP]
     assert len(list(tiles)) == 3 * proposal._BOX_GROUP - 1
     assert calls == [1, proposal._BOX_GROUP] * 3
 
 
-def test_nan_points_leave_the_tiles_pruned(monkeypatch):
-    # the grid spans the finite coordinates, so the NaN rows sort last and
-    # cost one tile that keeps every center (a NaN box reaches all)
+def test_nan_points_leave_the_tiles_pruned():
+    # the grid spans the finite coordinates, so the NaN rows sort last, as
+    # one more cell, and cost one tile that keeps every center (a NaN box
+    # reaches all); 2200 points make 16 cells of the 1D grid
     rng = np.random.default_rng(derive_seed("nan tiles"))
     points = rng.uniform(-1.0, 1.0, (2200, 1))
     centers = rng.uniform(-1.0, 1.0, (150, 1))
     scale = 10.0 ** rng.uniform(-3.0, -1.5, 150)
     weights = rng.uniform(0.1, 10.0, 150)
-    kept_centers, kept = proposal._kept_centers, []
-
-    def counted(*args):
-        tiles = list(kept_centers(*args))
-        kept.append([rows.size for rows in tiles])
-        return tiles
-
-    monkeypatch.setattr(proposal, "_kept_centers", counted)
+    clean_kept = kept_per_tile(points, centers, scale, weights)
+    with_nan = np.vstack([points, np.full((3, 1), np.nan)])
+    nan_kept = kept_per_tile(with_nan, centers, scale, weights)
+    assert len(clean_kept) == 16 and nan_kept == clean_kept + [150]
     clean = gaussian_kernel_sum(points, centers, scale, weights)
-    with_nan = gaussian_kernel_sum(
-        np.vstack([points, np.full((3, 1), np.nan)]), centers, scale, weights)
-    (clean_kept, nan_kept) = kept
-    assert len(nan_kept) == len(clean_kept) == 35
-    assert nan_kept[:-1] == clean_kept[:-1] and nan_kept[-1] == 150
+    with_nan = gaussian_kernel_sum(with_nan, centers, scale, weights)
     np.testing.assert_array_equal(with_nan[:2200], clean)
     assert np.isnan(with_nan[2200:]).all()
+
+
+def clustered_points(rng, n, dims):
+    """Two tight clusters of 2n/5 points each, and n/5 uniform points."""
+    tight = [rng.normal(rng.uniform(-0.8, 0.8, dims), 0.01,
+                        (2 * n // 5, dims)) for _ in range(2)]
+    points = np.vstack(tight + [rng.uniform(-1.0, 1.0, (n - 4 * n // 5,
+                                                        dims))])
+    return points[rng.permutation(n)]
+
+
+def sorted_cells(points, per_cell, rows, finer=0):
+    """The tiles' first rows from ``_sorted_rows`` and each sorted row's
+    cell on the grid spelled out: about ``per_cell`` points per cell and
+    at least one box-test group of cells, over the rows' bounding box;
+    with ``finer``, on that grid cut 2**finer times finer per axis."""
+    n, dims = points.shape
+    cells = max(round((n / per_cell) ** (1.0 / dims)),
+                math.ceil(proposal._BOX_GROUP ** (1.0 / dims))) << finer
+    lo = points.min(axis=0)
+    cell = np.minimum(
+        np.floor((points - lo) * (cells / (points.max(axis=0) - lo))),
+        cells - 1)
+    order, starts = proposal._sorted_rows(points, per_cell, rows)
+    assert sorted(order.tolist()) == list(range(n))
+    return cell.take(order, axis=0), starts
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_every_tile_lies_in_one_grid_cell(dims):
+    rng = np.random.default_rng(derive_seed("cell tiles", dims))
+    points = clustered_points(rng, 3000, dims)
+    cell, starts = sorted_cells(points, 64, 50)
+    ends = np.append(starts[1:], len(points))
+    for i, j in zip(starts, ends):
+        assert j - i <= 50 and (cell[i:j] == cell[i]).all()
+    # a tile ends where its cell does, or at 50 rows; a cell is one run
+    same = (cell[starts[1:]] == cell[starts[:-1]]).all(axis=1)
+    assert same.any() and (ends[:-1][same] - starts[:-1][same] == 50).all()
+    runs = 1 + np.count_nonzero((cell[1:] != cell[:-1]).any(axis=1))
+    assert runs == len(np.unique(cell, axis=0))
+    # the runs of a cut cell follow a finer Z-order, so a run's box is a
+    # small part of the box of its cell's points (in input order, about all)
+    x = points.take(proposal._sorted_rows(points, 64, 50)[0], axis=0)
+    cut = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+    shares = [np.prod(np.ptp(x[starts[t]:ends[t]], axis=0))
+              / np.prod(np.ptp(x[(cell == cell[starts[t]]).all(axis=1)],
+                               axis=0)) for t in cut]
+    assert len(shares) > 20 and np.median(shares) < 0.25
+
+
+def test_a_2d_box_group_is_a_4_by_4_block_of_cells():
+    # 16384 uniform points make a grid of 16 x 16 cells of about 64
+    rng = np.random.default_rng(derive_seed("z-order groups"))
+    points = rng.uniform(-1.0, 1.0, (16384, 2))
+    cell, starts = sorted_cells(points, 64, 4096)
+    assert len(starts) == 256 and proposal._BOX_GROUP == 16
+    for first in range(0, 256, 16):
+        group = cell[starts[first]:starts[first + 16] if first < 240 else None]
+        low, high = group.min(axis=0), group.max(axis=0)
+        assert (high - low == 3).all() and (low % 4 == 0).all()
+
+
+def interleaved(index, bits):
+    """The Z-order key of each row of ``index`` (n, K) ints: bit b on axis
+    k becomes bit b * K + k."""
+    dims = index.shape[1]
+    return [sum(((int(i[k]) >> b) & 1) << (b * dims + k)
+                for b in range(bits) for k in range(dims)) for i in index]
+
+
+@pytest.mark.parametrize("dims, per_axis", [(5, 4), (7, 3)])
+def test_cells_sort_by_their_interleaved_bits(dims, per_axis):
+    # one point at each integer cell of a per_axis**dims grid
+    rng = np.random.default_rng(derive_seed("morton", dims))
+    points = np.array(list(np.ndindex(*[per_axis] * dims)), dtype=float)
+    points = points[rng.permutation(len(points))]
+    cell, starts = sorted_cells(points, 1, 1)
+    np.testing.assert_array_equal(starts, np.arange(len(points)))
+    keys = interleaved(cell, (per_axis - 1).bit_length())
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert cell.tolist() != sorted(cell.tolist())  # not lexicographic
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 5])
+def test_rows_in_a_cell_follow_the_z_order_of_a_finer_grid(dims):
+    # about 8 points per cell: the rows sort by the Z-order of a grid
+    # 2**ceil(3 / dims) times finer per axis, whose coarse bits are the cell's
+    rng = np.random.default_rng(derive_seed("finer z-order", dims))
+    points = clustered_points(rng, 3000, dims)
+    index, _ = sorted_cells(points, 8, 1000, finer=-(-3 // dims))
+    keys = interleaved(index, int(index.max()).bit_length())
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("dims", [20, 31, 40, 70])
+def test_kernel_sum_in_many_dimensions_is_each_point_alone(dims):
+    # the Z-order key holds at most 62 bits, so past 31 axes the grid
+    # cuts fewer axes, and past 62 none
+    rng = np.random.default_rng(derive_seed("many dimensions", dims))
+    points = rng.uniform(-1.0, 1.0, (300, dims))
+    points[7, 3] = np.nan
+    centers = rng.uniform(-1.0, 1.0, (40, dims))
+    order, starts = proposal._sorted_rows(points, 64, 1000)
+    assert order[-1] == 7 and starts[-1] == 299
+    np.testing.assert_array_equal(
+        gaussian_kernel_sum(points, centers, 0.8, 1.0),
+        one_point_at_a_time(points, centers, 0.8, 1.0))
+
+
+def test_non_finite_rows_share_one_tile_that_keeps_every_center():
+    rng = np.random.default_rng(derive_seed("non-finite tile"))
+    points = rng.uniform(-1.0, 1.0, (2000, 2))
+    odd = rng.choice(2000, 4, replace=False)
+    points[odd] = [[np.nan, 0.2], [np.inf, 0.1], [-np.inf, -np.inf],
+                   [0.3, np.nan]]
+    centers = rng.uniform(-1.0, 1.0, (300, 2))
+    scale = 10.0 ** rng.uniform(-3.0, -1.5, 300)
+    weights = rng.uniform(0.1, 10.0, 300)
+    order, starts = proposal._sorted_rows(points, 64, 4096)
+    assert sorted(order[starts[-1]:].tolist()) == sorted(odd.tolist())
+    kept = list(proposal._kept_centers(points.take(order, axis=0), starts,
+                                       centers, scale, np.log(weights)))
+    assert kept[-1].tolist() == list(range(300))
+    assert max(rows.size for rows in kept[:-1]) < 300
+    np.testing.assert_array_equal(
+        gaussian_kernel_sum(points, centers, scale, weights),
+        one_point_at_a_time(points, centers, scale, weights))
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("kde", [True, False])
+def test_clustered_kernel_sum_is_each_point_alone(dims, kde, monkeypatch):
+    # cells of a tight cluster hold more than a tile's 40 rows, and are cut
+    rng = np.random.default_rng(derive_seed("clustered sums", dims, kde))
+    points = clustered_points(rng, 2500, dims)
+    centers = clustered_points(rng, 400, dims)
+    if kde:
+        scale, weights = 0.05, 1.0 / 400
+    else:
+        scale = 10.0 ** rng.uniform(-3.0, -1.0, 400)
+        weights = rng.uniform(0.1, 10.0, 400)
+    monkeypatch.setattr(proposal, "_TILE_FLOATS", 40 * 400)
+    cell, starts = sorted_cells(points, 40, 40)
+    assert (cell[starts[1:]] == cell[starts[:-1]]).all(axis=1).sum() > 10
+    np.testing.assert_array_equal(
+        gaussian_kernel_sum(points, centers, scale, weights),
+        one_point_at_a_time(points, centers, scale, weights))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

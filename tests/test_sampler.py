@@ -1,5 +1,6 @@
 """Sampler tests: budgets, selection rules, weighting schemes, evidence."""
 
+import heapq
 import math
 import re
 
@@ -111,6 +112,31 @@ def test_max_evidence_scale_invariance():
     assert ca == cb
     np.testing.assert_allclose(b.sample_set.weights,
                                37.0 * a.sample_set.weights, rtol=1e-12)
+
+
+def test_max_evidence_heap_keys_are_numpys_radius_power(monkeypatch):
+    # on a cube of side 0.16 a Python float's 0.08 ** 3 is one ulp above
+    # NumPy's array power, which the resampled argmax and mixture_weights
+    # take; the heap keys must be the same bits as theirs
+    assert 0.08 ** 3 != (np.array([0.08]) ** 3)[0]
+    pushed, push = [], heapq.heappush
+
+    def spy(heap, item):
+        pushed.append(item)
+        push(heap, item)
+
+    monkeypatch.setattr(sampler.heapq, "heappush", spy)
+    bounds = DomainBounds(np.zeros(3), np.full(3, 0.16))
+    model = GaussianMixture(np.array([[0.05, 0.1, 0.07]]),
+                            np.full((1, 3), 0.03 ** 2), np.array([1.0]))
+    res = run_tp_ais(model.density, SamplerConfig(dims=3, n_samples=300,
+                                                  bounds=bounds, seed=15))
+    assert res.tree.level_radii[0] == 0.08 and res.tree.level.max() >= 3
+    # every row is pushed once, but the last split's children
+    keys, rows = (np.array(column) for column in zip(*pushed))
+    assert rows.tolist() == list(range(len(res.tree) - 8))
+    np.testing.assert_array_equal(
+        keys, -(res.tree.target_value.take(rows) * res.tree.radii(rows) ** 3))
 
 
 def right_only(x):
