@@ -8,27 +8,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .proposal import gaussian_kernel_sum
-from .sampler import WeightedSampleSet, _domain, _eval_target, _scale
-from .tree import DomainBounds, _count, _member
+from .sampler import WeightedSampleSet
+from .tree import (DomainBounds, _count, _domain, _eval_target, _member,
+                   _scale)
 
 
 @dataclass
 class MHConfig:
     """Random-walk MH settings, validated as :class:`SamplerConfig` is.
 
-    ``dims``, ``n_samples``, ``burn_in`` and ``seed`` (the last two may be
-    0) are whole numbers, ``proposal_std`` is positive and finite, and
-    ``bounds`` defaults to ``[-1, 1]**dims``; each bad setting raises a
-    ``ValueError`` naming its key. ``initial_point``, if given, is ``dims``
-    finite coordinates inside ``bounds``; ``None`` draws uniform points over
-    the domain until one has positive target density (bounded retries).
+    ``dims``, ``n_samples`` and ``seed`` (which may be 0) are whole
+    numbers, ``proposal_std`` is positive and finite, and ``bounds``
+    defaults to ``[-1, 1]**dims``; each bad setting raises a ``ValueError``
+    naming its key. ``initial_point``, if given, is ``dims`` coordinates
+    inside ``bounds``; ``None`` draws uniform points over the domain until
+    one has positive target density (bounded retries).
     """
 
     dims: int
     n_samples: int
     bounds: DomainBounds = None
     proposal_std: float = 0.1
-    burn_in: int = 0
     initial_point: np.ndarray = None
     seed: int = 0
 
@@ -37,16 +37,12 @@ class MHConfig:
         self.bounds = _domain(self.dims, self.bounds)
         self.n_samples = _count("n_samples", self.n_samples)
         self.proposal_std = _scale("proposal_std", self.proposal_std)
-        self.burn_in = _count("burn_in", self.burn_in, least=0)
         self.seed = _count("seed", self.seed, least=0)
         if self.initial_point is not None:
             point = np.asarray(self.initial_point, dtype=float)
-            if point.shape != (self.dims,) or not np.isfinite(point).all():
-                raise ValueError(f"initial_point must be {self.dims} finite "
-                                 f"coordinates, got {self.initial_point!r}")
-            if (np.any(point < self.bounds.lower)
-                    or np.any(point > self.bounds.upper)):
-                raise ValueError("initial_point lies outside the domain")
+            if point.shape != (self.dims,) or not self.bounds.contains(point):
+                raise ValueError("initial_point must be a point inside the "
+                                 f"domain, got {self.initial_point!r}")
             self.initial_point = point
 
 
@@ -60,10 +56,9 @@ def run_mh(target, config: MHConfig):
     Returns
     -------
     (chain, acceptance_rate)
-        ``chain`` has shape (n_samples, K) and excludes burn-in states.
+        ``chain`` has shape (n_samples, K); its first state is the start.
     """
     rng = np.random.default_rng(config.seed)
-    bounds = config.bounds
     if config.initial_point is not None:
         current = config.initial_point
         f_current = float(_eval_target(target, current[None, :])[0])
@@ -71,7 +66,7 @@ def run_mh(target, config: MHConfig):
             raise ValueError("initial point has zero target density")
     else:
         for _ in range(1000):
-            current = rng.uniform(bounds.lower, bounds.upper)
+            current = rng.uniform(config.bounds.lower, config.bounds.upper)
             f_current = float(_eval_target(target, current[None, :])[0])
             if f_current > 0.0:
                 break
@@ -79,21 +74,18 @@ def run_mh(target, config: MHConfig):
             raise RuntimeError("could not find a starting point with "
                                "positive target density")
 
-    total = config.burn_in + config.n_samples
-    chain = np.empty((total, config.dims))
+    chain = np.empty((config.n_samples, config.dims))
     chain[0] = current
     accepted = 0
-    for t in range(1, total):
+    for t in range(1, config.n_samples):
         prop = current + rng.normal(0.0, config.proposal_std, size=config.dims)
-        if np.all(prop >= bounds.lower) and np.all(prop <= bounds.upper):
+        if config.bounds.contains(prop):
             f_prop = float(_eval_target(target, prop[None, :])[0])
             if rng.uniform() * f_current < f_prop:
-                current = prop
-                f_current = f_prop
+                current, f_current = prop, f_prop
                 accepted += 1
         chain[t] = current
-    rate = accepted / max(total - 1, 1)
-    return chain[config.burn_in:], rate
+    return chain, accepted / max(config.n_samples - 1, 1)
 
 
 @dataclass

@@ -20,11 +20,11 @@ from .baselines import MHConfig, PMCConfig, run_mh, run_pmc
 from .metrics import (LN2, KDEModel, ess_mcmc, evidence_estimate,
                       evidence_mse, jsd, ness_is)
 from .proposal import Kernel, TreeProposal
-from .sampler import (NodeSelection, SamplerConfig, _scale,
-                      evidence_from_tree, leaf_sample_set, run_tp_ais)
+from .sampler import (NodeSelection, SamplerConfig, evidence_from_tree,
+                      leaf_sample_set, run_tp_ais)
 from .targets import (GaussianMixture, make_egg_target, make_gmm5_target,
                       make_normal_target)
-from .tree import _count
+from .tree import _count, _scale
 
 DEFAULT_SAMPLE_COUNTS = (16, 32, 64, 128, 256, 512, 1024)
 CSV_COLUMNS = ("method", "family", "dims", "N", "trial", "seed", "ness",
@@ -219,7 +219,7 @@ def run_single(spec: ExperimentSpec, method: str, family: str, dims: int,
         divergence = jsd(target, density, target.bounds, spec.jsd_points,
                          metrics_rng)
         row.ness = ness
-        row.jsd = min(max(divergence, 0.0), LN2)
+        row.jsd = min(divergence, LN2)
         row.evidence_mse = evidence_mse(evidence)
     except Exception as exc:  # noqa: BLE001 - error rows must not abort runs
         row.error = f"{type(exc).__name__}: {exc}"

@@ -15,22 +15,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .proposal import gaussian_kernel_sum
-from .sampler import _eval_target, _scale
-from .tree import DomainBounds, _as_batch, _count
+from .tree import DomainBounds, _as_batch, _count, _eval_target, _scale
 
 LN2 = math.log(2.0)
 
 
 def normalized_weights(weights) -> np.ndarray:
-    """Weights rescaled to sum to 1; rejects negatives and all-zero sets."""
+    """Weights rescaled to sum to 1; rejects negatives and all-zero sets.
+    Finite weights whose sum overflows are first scaled by an exact power
+    of two, as in ``_autocorrelation``; any other input keeps its bits."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d array")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
     if total <= 0.0:
         raise ValueError("cannot normalize all-zero weights")
+    if total == math.inf:
+        w = np.ldexp(w, -np.frexp(w.max())[1])
+        total = w.sum()
     return w / total
 
 
@@ -98,9 +103,10 @@ def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
 
     Both halves are estimated on the same uniform point set, which makes
     the estimate exactly symmetric in ``p`` and ``q`` for a given ``rng``
-    state. The integrand is pointwise non-negative, so the estimate is
-    never negative, and the mixture midpoint never vanishes where either
-    density is positive, so the estimate is always finite. A density that
+    state. The integrand is pointwise non-negative, but it cancels in
+    floating point where ``p`` is close to ``q``, so the estimate is floored
+    at 0; the mixture midpoint never vanishes where either density is
+    positive, so the estimate is always finite. A density that
     breaks the target contract (finite, non-negative, shape (n,)), or an
     ``n`` that is not a count >= 1 as ``ExperimentSpec(jsd_points=...)``
     reads one (a whole number, or a string spelling one), raises
@@ -115,7 +121,7 @@ def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
     mask_q = qv > 0.0
     terms[mask_p] += 0.5 * pv[mask_p] * np.log(pv[mask_p] / mid[mask_p])
     terms[mask_q] += 0.5 * qv[mask_q] * np.log(qv[mask_q] / mid[mask_q])
-    return float(bounds.volume * terms.mean())
+    return max(float(bounds.volume * terms.mean()), 0.0)
 
 
 @dataclass

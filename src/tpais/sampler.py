@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .proposal import Kernel, TreeProposal
-from .tree import DomainBounds, TreePyramid, _count, _member
+from .tree import (DomainBounds, TreePyramid, _count, _domain, _eval_target,
+                   _member)
 
 
 class Weighting(enum.Enum):
@@ -33,31 +34,6 @@ class NodeSelection(enum.Enum):
 
     MAX_EVIDENCE = "max_evidence"    # argmax of target_value * radius**K
     MIXTURE_DRAW = "mixture_draw"    # categorical draw over leaf weights
-
-
-def _scale(key: str, value) -> float:
-    """``value`` as a float; a ``ValueError`` naming ``key`` unless it is a
-    positive finite number or a string spelling one, and not a boolean."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if isinstance(value, (bool, np.bool_)) or not 0.0 < number < math.inf:
-        raise ValueError(f"{key} must be positive and finite, got {value!r}")
-    return number
-
-
-def _domain(dims: int, bounds) -> DomainBounds:
-    """``bounds``, or ``[-1, 1]**dims`` when None; a ``ValueError`` naming
-    ``bounds`` unless it is a ``DomainBounds`` with ``dims`` dimensions."""
-    if bounds is None:
-        return DomainBounds.centered(dims)
-    if not isinstance(bounds, DomainBounds):
-        raise ValueError("bounds must be a DomainBounds or None, "
-                         f"got {bounds!r}")
-    if bounds.dims != dims:
-        raise ValueError(f"bounds have {bounds.dims} dimensions, not {dims}")
-    return bounds
 
 
 @dataclass
@@ -118,20 +94,6 @@ class TPAISResult:
     sample_set: WeightedSampleSet
     tree: TreePyramid
     config: SamplerConfig = field(repr=False, default=None)
-
-
-def _eval_target(target, x) -> np.ndarray:
-    """Evaluate the target density on a batch of n points and validate it:
-    the values must have shape (n,), be finite and be non-negative."""
-    vals = np.asarray(target(x), dtype=float)
-    if vals.shape != (x.shape[0],):
-        raise ValueError(f"target density must return shape ({x.shape[0]},) "
-                         f"for {x.shape[0]} points, got shape {vals.shape}")
-    if np.count_nonzero((vals >= 0.0) & (vals < math.inf)) < vals.size:
-        if not np.isfinite(vals).all():
-            raise ValueError("target density returned a non-finite value")
-        raise ValueError("target density returned a negative value")
-    return vals
 
 
 def _weights(values, density) -> np.ndarray:

@@ -10,10 +10,16 @@ closed domain box moves to the "+" child along dimension ``d`` when
 descent passes. So lower faces are closed, upper faces are open except on
 the domain's upper boundary, and the leaves partition the domain exactly,
 also where ``center +- radius`` rounds away from a parent's center.
+
+The library's input rules live here, each spelled once: the closed-domain
+test ``DomainBounds.contains``, the setting parsers ``_count``, ``_member``,
+``_scale`` and ``_domain``, ``_as_batch`` for points and ``_eval_target``
+for the target contract.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -61,6 +67,32 @@ def _member(key: str, value, kind):
     if isinstance(value, (bool, np.bool_) if kind is bool else kind):
         return kind(value)
     raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}")
+
+
+def _scale(key: str, value) -> float:
+    """``value`` as a float; a ``ValueError`` naming ``key`` unless it is a
+    positive finite number or a string spelling one, and not a boolean."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < number < math.inf:
+        raise ValueError(f"{key} must be positive and finite, got {value!r}")
+    return number
+
+
+def _eval_target(target, x) -> np.ndarray:
+    """Evaluate the target density on a batch of n points and validate it:
+    the values must have shape (n,), be finite and be non-negative."""
+    vals = np.asarray(target(x), dtype=float)
+    if vals.shape != (x.shape[0],):
+        raise ValueError(f"target density must return shape ({x.shape[0]},) "
+                         f"for {x.shape[0]} points, got shape {vals.shape}")
+    if np.count_nonzero((vals >= 0.0) & (vals < math.inf)) < vals.size:
+        if not np.isfinite(vals).all():
+            raise ValueError("target density returned a non-finite value")
+        raise ValueError("target density returned a negative value")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -112,6 +144,28 @@ class DomainBounds:
     @property
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
+
+    def contains(self, points):
+        """Whether the closed box holds a point (K,), as a bool, or each
+        point of a batch (n, K); a NaN coordinate is outside."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim not in (1, 2) or points.shape[-1] != self.dims:
+            raise ValueError(f"expected points of shape (n, {self.dims})")
+        inside = ((points >= self.lower) & (points <= self.upper)).all(axis=-1)
+        return bool(inside) if points.ndim == 1 else inside
+
+
+def _domain(dims: int, bounds) -> DomainBounds:
+    """``bounds``, or ``[-1, 1]**dims`` when None; a ``ValueError`` naming
+    ``bounds`` unless it is a ``DomainBounds`` with ``dims`` dimensions."""
+    if bounds is None:
+        return DomainBounds.centered(dims)
+    if not isinstance(bounds, DomainBounds):
+        raise ValueError("bounds must be a DomainBounds or None, "
+                         f"got {bounds!r}")
+    if bounds.dims != dims:
+        raise ValueError(f"bounds have {bounds.dims} dimensions, not {dims}")
+    return bounds
 
 
 # (name, one value per dimension, dtype, value of a row before it is written)
@@ -305,9 +359,7 @@ class TreePyramid:
             child = self.first_child.take(rows)
             below = points < self.center.take(rows, axis=0)
             rows = np.where(child >= 0, child + below.dot(self._bits), rows)
-        inside = ((points >= self.bounds.lower)
-                  & (points <= self.bounds.upper)).all(axis=1)
-        return np.where(inside, rows, -1)
+        return np.where(self.bounds.contains(points), rows, -1)
 
     def locate(self, points) -> np.ndarray:
         """Leaf row of each point of ``points`` (n, K), or -1 for a point

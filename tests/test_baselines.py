@@ -34,12 +34,22 @@ def test_mh_tiny_steps_always_accepted():
     assert np.all(np.abs(chain) < 1e-3)  # the chain barely moves
 
 
-def test_mh_burn_in_is_a_prefix_cut():
-    target = make_gmm5_target(np.random.default_rng(4), 1)
-    full, _ = run_mh(target, MHConfig(dims=1, n_samples=600, seed=9))
-    cut, _ = run_mh(target, MHConfig(dims=1, n_samples=500, burn_in=100,
-                                     seed=9))
-    np.testing.assert_array_equal(cut, full[100:])
+def test_mh_chain_never_leaves_the_closed_box():
+    # the flat target is positive outside the domain too, so only the
+    # domain test keeps the chain in; wide steps start from a corner
+    bounds = DomainBounds(np.full(2, 0.8217701239287258),
+                          np.full(2, 0.8217701239287258 + 1.4219548974429648))
+    chain, rate = run_mh(flat_target, MHConfig(
+        dims=2, n_samples=5000, bounds=bounds, proposal_std=0.7, seed=3,
+        initial_point=bounds.upper))
+    assert bounds.contains(chain).all()
+    assert 0.0 < rate < 1.0
+
+
+def test_mh_config_has_no_burn_in():
+    # a chain of n + b states sliced [b:] is the chain a burn-in gave
+    with pytest.raises(TypeError):
+        MHConfig(dims=1, n_samples=4, burn_in=0)
 
 
 def test_mh_chain_mean_within_ess_bound():
@@ -98,13 +108,11 @@ def test_mh_config_validation():
         MHConfig(dims=1, n_samples=0)
     with pytest.raises(ValueError):
         MHConfig(dims=1, n_samples=10, proposal_std=0.0)
-    with pytest.raises(ValueError):
-        MHConfig(dims=1, n_samples=10, burn_in=-1)
     # counts are whole numbers, booleans are not counts, and a scale is
     # positive and finite: the rules SamplerConfig keeps
     for key, bad in (("n_samples", True), ("n_samples", 2.5),
                      ("n_samples", math.nan), ("n_samples", math.inf),
-                     ("burn_in", 0.5), ("burn_in", True), ("dims", True),
+                     ("dims", True),
                      ("proposal_std", math.nan), ("proposal_std", math.inf),
                      ("proposal_std", True)):
         with pytest.raises(ValueError, match=key):
@@ -114,12 +122,11 @@ def test_mh_config_validation():
     for bad in NOT_BOUNDS:
         with pytest.raises(ValueError, match="bounds must be a DomainBounds"):
             MHConfig(dims=2, n_samples=10, bounds=bad)
-    config = MHConfig(dims=2.0, n_samples=np.int64(8), burn_in="3",
-                      proposal_std=np.float32(0.5))
-    assert (config.dims, config.n_samples, config.burn_in) == (2, 8, 3)
+    config = MHConfig(dims=2.0, n_samples="8", proposal_std=np.float32(0.5))
+    assert (config.dims, config.n_samples) == (2, 8)
     assert config.proposal_std == 0.5 and config.bounds.dims == 2
     assert type(config.dims) is type(config.n_samples) is int
-    assert type(config.burn_in) is int and type(config.proposal_std) is float
+    assert type(config.proposal_std) is float
 
 
 def test_pmc_shapes_and_weights():

@@ -27,6 +27,19 @@ def test_normalized_weights():
             normalized_weights(bad)
 
 
+def test_weights_whose_sum_overflows():
+    # finite weights summing past the float range are scaled by a power of
+    # two first, with no overflow warning; a finite sum keeps its bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ess_is([1e308, 1e308]) == 2.0
+        assert ness_is([1e308, 1.0, 1e308]) == pytest.approx(2.0 / 3.0)
+        assert expectation_estimate(lambda x: x[:, 0], [[0.1], [0.2]],
+                                    [1e308, 1e308]) == pytest.approx(0.15)
+    w = np.random.default_rng(0).uniform(0.0, 1e307, size=17)
+    np.testing.assert_array_equal(normalized_weights(w), w / w.sum())
+
+
 def test_ess_is_oracles():
     assert abs(ess_is(np.full(10, 3.7)) - 10.0) < 1e-12
     assert abs(ess_is([1.0, 0.0, 0.0, 0.0]) - 1.0) < 1e-12
@@ -159,6 +172,22 @@ def test_jsd_never_negative_fuzz():
                             gen.uniform(0.01, 0.2, (2, 1)), [0.5, 0.5])
         val = jsd(p.density, q.density, BOUNDS_1D, 2000, rng)
         assert 0.0 <= val <= LN2 + 1e-12
+
+
+def test_jsd_near_equal_densities_not_negative():
+    # p = q up to a relative 1e-10 or less: the per-point integrand cancels
+    # in floating point and its mean can fall below 0, which the
+    # estimate's floor at 0 takes out
+    def p(x):
+        return np.full(x.shape[0], 0.5)
+
+    for eps in (1e-16, 1e-15, 1e-13, 1e-10):
+        def q(x, eps=eps):
+            return 0.5 * (1.0 + eps) * (1.0 + eps * np.sin(7.0 * x[:, 0]))
+
+        values = [jsd(p, q, BOUNDS_1D, 200, np.random.default_rng(seed))
+                  for seed in range(3000)]
+        assert min(values) >= 0.0
 
 
 @pytest.mark.parametrize("divergence", [jsd])

@@ -218,6 +218,58 @@ def test_locate_outside_point_is_minus_one():
     assert tree.locate(outside).tolist() == [-1, -1]
 
 
+# [lower, upper] of every axis: dyadic, and non-dyadic faces
+_BOXES = ((-1.0, 1.0), (0.8217701239287258, 0.8217701239287258
+                        + 1.4219548974429648))
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("box", _BOXES)
+def test_domain_contains_matches_per_axis_rule(dims, box):
+    lo, hi = box
+    bounds = DomainBounds(np.full(dims, lo), np.full(dims, hi))
+    # faces, one ulp to either side of them, the center, NaN and +-inf on
+    # each axis; their products hold every corner of the box
+    values = (lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+              hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+              (lo + hi) / 2.0, math.nan, math.inf, -math.inf)
+    points = np.array(list(itertools.product(values, repeat=dims)))
+    rule = [all(bounds.lower[d] <= x[d] <= bounds.upper[d]
+                for d in range(dims)) for x in points.tolist()]
+    batch = bounds.contains(points)
+    assert batch.dtype == bool and batch.tolist() == rule
+    assert [bounds.contains(x) for x in points] == rule
+    assert all(type(bounds.contains(x)) is bool for x in points[:3])
+    assert bounds.contains(points[:0]).shape == (0,)
+    assert bounds.contains(points[:1].tolist()).tolist() == rule[:1]
+    for bad in (np.zeros(dims + 1), np.zeros((2, dims + 1)),
+                np.zeros((2, 2, dims)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="shape"):
+            bounds.contains(bad)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("box", _BOXES)
+def test_locate_is_minus_one_exactly_outside_the_domain(dims, box):
+    lo, hi = box
+    bounds = DomainBounds(np.full(dims, lo), np.full(dims, hi))
+    rng = np.random.default_rng(dims)
+    tree = TreePyramid(bounds)
+    for _ in range(12):
+        leaves = tree.leaf_indices()
+        tree.expand(leaves[int(rng.integers(len(leaves)))])
+    width = hi - lo
+    points = rng.uniform(lo - 0.1 * width, hi + 0.1 * width, size=(500, dims))
+    # snap some coordinates onto the faces and one ulp beyond them
+    snap = rng.integers(0, 6, size=points.shape)
+    for k, v in enumerate((lo, hi, np.nextafter(lo, -np.inf),
+                           np.nextafter(hi, np.inf), math.nan)):
+        points[snap == k] = v
+    rows = tree.locate(points)
+    np.testing.assert_array_equal(rows == -1, ~bounds.contains(points))
+    assert set(rows[rows >= 0].tolist()) <= set(tree.leaf_indices().tolist())
+
+
 def test_contains_rejects_wrong_width():
     tree = TreePyramid(DomainBounds.centered(2))
     tree.expand(0)
