@@ -20,16 +20,13 @@ class MHConfig:
     ``dims``, ``n_samples`` and ``seed`` (which may be 0) are whole
     numbers, ``proposal_std`` is positive and finite, and ``bounds``
     defaults to ``[-1, 1]**dims``; each bad setting raises a ``ValueError``
-    naming its key. ``initial_point``, if given, is ``dims`` coordinates
-    inside ``bounds``; ``None`` draws uniform points over the domain until
-    one has positive target density (bounded retries).
+    naming its key.
     """
 
     dims: int
     n_samples: int
     bounds: DomainBounds = None
     proposal_std: float = 0.1
-    initial_point: np.ndarray = None
     seed: int = 0
 
     def __post_init__(self):
@@ -38,12 +35,6 @@ class MHConfig:
         self.n_samples = _count("n_samples", self.n_samples)
         self.proposal_std = _scale("proposal_std", self.proposal_std)
         self.seed = _count("seed", self.seed, least=0)
-        if self.initial_point is not None:
-            point = np.asarray(self.initial_point, dtype=float)
-            if point.shape != (self.dims,) or not self.bounds.contains(point):
-                raise ValueError("initial_point must be a point inside the "
-                                 f"domain, got {self.initial_point!r}")
-            self.initial_point = point
 
 
 def run_mh(target, config: MHConfig):
@@ -51,7 +42,9 @@ def run_mh(target, config: MHConfig):
 
     Proposals falling outside the bounds are rejected outright (the target
     is treated as zero there), which leaves the chain reversible for the
-    domain-restricted density.
+    domain-restricted density. The chain starts at the first of up to 1000
+    uniform draws over the domain with positive target density; if no draw
+    has one, a ``RuntimeError`` is raised.
 
     Returns
     -------
@@ -59,20 +52,14 @@ def run_mh(target, config: MHConfig):
         ``chain`` has shape (n_samples, K); its first state is the start.
     """
     rng = np.random.default_rng(config.seed)
-    if config.initial_point is not None:
-        current = config.initial_point
+    for _ in range(1000):
+        current = rng.uniform(config.bounds.lower, config.bounds.upper)
         f_current = float(_eval_target(target, current[None, :])[0])
-        if f_current <= 0.0:
-            raise ValueError("initial point has zero target density")
+        if f_current > 0.0:
+            break
     else:
-        for _ in range(1000):
-            current = rng.uniform(config.bounds.lower, config.bounds.upper)
-            f_current = float(_eval_target(target, current[None, :])[0])
-            if f_current > 0.0:
-                break
-        else:
-            raise RuntimeError("could not find a starting point with "
-                               "positive target density")
+        raise RuntimeError("could not find a starting point with positive "
+                           "target density")
 
     chain = np.empty((config.n_samples, config.dims))
     chain[0] = current

@@ -24,7 +24,7 @@ from .sampler import (NodeSelection, SamplerConfig, evidence_from_tree,
                       leaf_sample_set, run_tp_ais)
 from .targets import (GaussianMixture, make_egg_target, make_gmm5_target,
                       make_normal_target)
-from .tree import _count, _scale
+from .tree import _count
 
 DEFAULT_SAMPLE_COUNTS = (16, 32, 64, 128, 256, 512, 1024)
 CSV_COLUMNS = ("method", "family", "dims", "N", "trial", "seed", "ness",
@@ -53,7 +53,6 @@ class ExperimentSpec:
     trials: int = 20
     base_seed: int = 0
     jsd_points: int = 20000
-    kde_bandwidth: float = 0.05
 
     def __post_init__(self):
         for key in ("methods", "families", "dims", "sample_counts"):
@@ -74,8 +73,6 @@ class ExperimentSpec:
             if unknown:
                 raise ValueError(f"unknown {key}: {unknown}; "
                                  f"available: {available}")
-        object.__setattr__(self, "kde_bandwidth",
-                           _scale("kde_bandwidth", self.kde_bandwidth))
 
 
 @dataclass
@@ -121,8 +118,9 @@ FAMILIES = {
 
 # --- method adapters --------------------------------------------------------
 #
-# Each method maps to (sample, report): ``sample`` does the timed sampling
-# work, ``report`` turns its state into (ness, evidence, proposal_density).
+# Each method maps to (sample, report): ``sample(target, dims, n, seed)``
+# does the timed sampling work, ``report(state, target)`` turns its state
+# into (ness, evidence, proposal_density).
 # ``proposal_density`` is the adapted density used for JSD against the
 # target: the leaf mixture for tree samplers, the final population mixture
 # for PMC, and a KDE of the chain for MH. Tree samplers report N-ESS from
@@ -131,13 +129,13 @@ FAMILIES = {
 
 
 def _tpais_method(kernel, selection, resample):
-    def sample(target, dims, n, seed, spec):
+    def sample(target, dims, n, seed):
         config = SamplerConfig(dims=dims, n_samples=n, bounds=target.bounds,
                                kernel=kernel, node_selection=selection,
                                resample_leaves=resample, seed=seed)
         return run_tp_ais(target, config)
 
-    def report(state, target, spec):
+    def report(state, target):
         reported = leaf_sample_set(state.tree, kernel)
         evidence_rng = np.random.default_rng(
             derive_seed(state.config.seed, "evidence"))
@@ -148,24 +146,27 @@ def _tpais_method(kernel, selection, resample):
     return sample, report
 
 
-def _mh_sample(target, dims, n, seed, spec):
-    config = MHConfig(dims=dims, n_samples=n, bounds=target.bounds, seed=seed)
-    return run_mh(target, config)
-
-
-def _mh_report(state, target, spec):
-    chain, _rate = state
-    ness = ess_mcmc(chain) / chain.shape[0]
-    density = KDEModel(chain, spec.kde_bandwidth).density
-    return ness, math.nan, density
-
-
+# the baselines' settings, the same in every run; MH's step is the
+# ``MHConfig`` default
+KDE_BANDWIDTH = 0.05
 PMC_KERNEL_STD = 0.2
 PMC_MAX_POPULATION = 64
 
 
+def _mh_sample(target, dims, n, seed):
+    config = MHConfig(dims=dims, n_samples=n, bounds=target.bounds, seed=seed)
+    return run_mh(target, config)
+
+
+def _mh_report(state, target):
+    chain, _rate = state
+    ness = ess_mcmc(chain) / chain.shape[0]
+    density = KDEModel(chain, KDE_BANDWIDTH).density
+    return ness, math.nan, density
+
+
 def _pmc_method(dm_weights):
-    def sample(target, dims, n, seed, spec):
+    def sample(target, dims, n, seed):
         pop = min(PMC_MAX_POPULATION, n)
         config = PMCConfig(dims=dims, population_size=pop,
                            iterations=math.ceil(n / pop),
@@ -173,7 +174,7 @@ def _pmc_method(dm_weights):
                            dm_weights=dm_weights, seed=seed)
         return run_pmc(target, config)
 
-    def report(state, target, spec):
+    def report(state, target):
         sample_set, locations = state
         pop = locations.shape[0]
         mixture = GaussianMixture(locations,
@@ -211,9 +212,9 @@ def run_single(spec: ExperimentSpec, method: str, family: str, dims: int,
         target = FAMILIES[family](target_rng, dims)
         sample, report = METHODS[method]
         start = clock()
-        state = sample(target, dims, n, run_seed, spec)
+        state = sample(target, dims, n, run_seed)
         row.wall_time_seconds = clock() - start
-        ness, evidence, density = report(state, target, spec)
+        ness, evidence, density = report(state, target)
         metrics_rng = np.random.default_rng(
             derive_seed(spec.base_seed, "metrics", family, dims, n, trial))
         divergence = jsd(target, density, target.bounds, spec.jsd_points,

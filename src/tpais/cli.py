@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base seed for the whole matrix")
     parser.add_argument("--jsd-points", dest="jsd_points",
                         help="Monte Carlo points per JSD estimate")
-    parser.add_argument("--kde-bandwidth", dest="kde_bandwidth",
-                        help="KDE bandwidth for MCMC density estimates")
     parser.add_argument("--workers", default=1,
                         help="worker processes (default 1)")
     parser.add_argument("--out-dir", default="bench_out",

@@ -275,7 +275,8 @@ def test_kde_reads_a_1d_array_as_one_dimensional_points():
 
 def test_kde_validation():
     # the bandwidth is a scale: a positive finite number, not a boolean
-    for bad in (0.0, math.nan, True, np.True_, "wide", None):
+    for bad in (0.0, -0.1, math.inf, math.nan, "-1", True, False, np.True_,
+                "wide", None):
         with pytest.raises(ValueError, match="bandwidth"):
             KDEModel(np.zeros((2, 1)), bad)
     for given in ("0.1", np.float32(0.25), 2):
