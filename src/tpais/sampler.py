@@ -5,7 +5,11 @@ leaf, splits it, and draws a fresh sample from every new child cell. The
 leaf mixture therefore concentrates components wherever the target has
 mass, and every drawn sample doubles as an importance-weighted point.
 Which leaf to split is decided here alone: by the score
-``value * radius**K``, greedily or by a mixture draw over the leaves.
+``value * radius**K``, greedily or by a mixture draw over the leaves. Both
+rules pop the leaf from one heap: the greedy key is the negated score, and
+the mixture draw's is the arrival time of an exponential clock that ticks
+at the rate ``weight * radius**K``, so the first arrival is a categorical
+draw over the leaves (the next-reaction method).
 """
 
 from __future__ import annotations
@@ -106,8 +110,7 @@ def _weights(values, density) -> np.ndarray:
 
 def mixture_weights(tree: TreePyramid, rows) -> np.ndarray:
     """Selection weights ``w_i * r_i**K`` of the nodes at ``rows`` (an int
-    array or a slice), unnormalized: the slot values of the sampler's sum
-    tree.
+    array or a slice), unnormalized: the rates of the sampler's race.
 
     A node whose importance weight is unset contributes zero. Raises
     ``ValueError`` unless every value is finite and non-negative.
@@ -120,65 +123,21 @@ def mixture_weights(tree: TreePyramid, rows) -> np.ndarray:
     return vals
 
 
-class _SumTree:
-    """Non-negative slots and their sums, for categorical draws in
-    O(log n) steps (a segment tree).
+def _arrivals(rates, rng: np.random.Generator) -> np.ndarray:
+    """Arrival times ``E / rate`` of independent exponential clocks that
+    tick at ``rates``, with one standard exponential draw E each, in a
+    time unit of 2**64: E is scaled by 2**-64 before the division.
 
-    ``levels[0]`` holds the slots, zero-padded to a power of two; entry
-    ``i`` of ``levels[d + 1]`` is the sum of entries ``2i`` and ``2i + 1``
-    of ``levels[d]``, and ``levels[-1][0]`` is the total. A sum is always
-    recomputed from its two children, never shifted by a difference, so
-    slots that are all zero sum to exactly 0.0. The levels are NumPy
-    arrays as built and lists once ``set`` first writes them, since its
-    scalar steps are faster on lists.
+    The first arrival is a categorical draw with probability proportional
+    to the rates. A zero rate never arrives: its time is +inf. The scaling
+    is exact and keeps every positive rate's time finite: E is at most
+    about 44.4, and 44.4 * 2**-64 over the smallest subnormal rate is
+    below 5e305. A rate above about ``E * 2.4e288`` gets a subnormal time
+    and loses precision.
     """
-
-    def __init__(self, slots):
-        slots = np.asarray(slots, dtype=float)
-        level = np.zeros(1 << max(len(slots) - 1, 0).bit_length())
-        level[:len(slots)] = slots
-        self.levels = [level]
-        while len(level) > 1:
-            level = level[0::2] + level[1::2]
-            self.levels.append(level)
-
-    def set(self, first: int, values: list) -> None:
-        """Set the slots from ``first`` on to the floats ``values`` and
-        recompute their sums."""
-        if not isinstance(self.levels[0], list):
-            self.levels = [level.tolist() for level in self.levels]
-        end = first + len(values)
-        below = self.levels[0]
-        below[first:end] = values
-        lo, hi = first >> 1, (end - 1) >> 1
-        for level in self.levels[1:]:
-            level[lo] = below[2 * lo] + below[2 * lo + 1]
-            if hi != lo:  # most levels have one sum to redo: skip the range
-                for i in range(lo + 1, hi + 1):
-                    level[i] = below[2 * i] + below[2 * i + 1]
-            lo, hi, below = lo >> 1, hi >> 1, level
-
-    def draw(self, rng: np.random.Generator) -> int:
-        """The slot of one categorical draw, with probability proportional
-        to its value; a zero slot is never drawn.
-
-        Takes one ``rng.uniform()`` and descends from the total: left while
-        the target is below the left sum or the right sum is zero, else
-        right with the left sum taken off the target. Raises ``ValueError``
-        when every slot is zero (a degenerate mixture).
-        """
-        total = self.levels[-1][0]
-        if not total > 0.0:
-            raise ValueError("degenerate mixture: every leaf has zero weight")
-        target = rng.uniform() * total
-        i = 0
-        for level in self.levels[-2::-1]:
-            i *= 2
-            left = level[i]
-            if target >= left and level[i + 1] > 0.0:
-                target -= left
-                i += 1
-        return i
+    times = np.full(rates.size, math.inf)
+    return np.divide(rng.standard_exponential(rates.size) * 2.0 ** -64,
+                     rates, out=times, where=rates > 0.0)
 
 
 def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
@@ -207,20 +166,36 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
 
     Notes
     -----
-    Each iteration has one branch per selection rule. It draws the rows
-    made last (the root, then the last split's children), scores them and
-    chooses the leaf to split. Without resampling every node is drawn
-    once, when it is created, so the returned set holds the tree's rows in
-    creation order. Max-evidence selection pushes the new rows onto a heap
-    keyed by ``(-target_value * radius**K, row)`` and pops the leaf to
-    split: the earliest-created leaf wins ties, as ``argmax`` over the
-    insertion-ordered leaves does. Mixture draws set the new rows'
-    ``weight * radius**K`` in a sum tree, sized once from the run's row
-    count, draw by descending it and zero the chosen slot. Either way a
-    split costs O(2**K log N). Resampling changes every leaf's score and
-    weight in each iteration, so it lists the leaves, with the rows made
-    last first, in one draw call and selects over the listing's arrays;
-    the first draw of the new rows is only taken from the random stream.
+    Each iteration draws the rows made last (the root, then the last
+    split's children), scores them and chooses the leaf to split, in one
+    of two branches. Without resampling every node is drawn once, when it
+    is created, so the returned set holds the tree's rows in creation
+    order, and the new rows are pushed onto one heap of ``(key, row)``
+    that pops the leaf to split under either rule. Max evidence keys a row
+    by ``-target_value * radius**K``: the earliest-created leaf wins ties,
+    as ``argmax`` over the insertion-ordered leaves does. A mixture draw
+    keys it by ``now + E / rate``, with ``rate`` its ``weight *
+    radius**K``, E a standard exponential draw and ``now`` the key popped
+    last (the race clock). The clocks are memoryless, so each pop is a
+    categorical draw over the unsplit leaves in proportion to their rates,
+    and b pops are a draw of b leaves without replacement. A zero rate
+    gets the key +inf; popping it means every leaf has zero weight, which
+    raises ``ValueError("degenerate mixture: ...")``. Every positive rate,
+    a subnormal one too, gets a finite key (see ``_arrivals``). A leaf of
+    tiny rate that wins, as the root does when its draw lies far from the
+    target's mass, moves the clock past the later arrivals ``t`` by more
+    than ``now + t`` can hold. So when ``t < now * 2**-20`` for a new row,
+    every key is shifted down by ``now`` and the clock restarts at zero:
+    the keys keep their order, and each key is rounded by less than
+    2**-32 of its own ``t``. A row is pushed when its parent is popped,
+    so its key is at most the sum of the arrivals on its path from the
+    root: below 65 * 5e305, so no key overflows. Either way a split costs
+    O(2**K log N), and a restart O(N). Resampling changes every
+    leaf's score and weight in each iteration, so it lists the leaves,
+    with the rows made last first, in one draw call and selects over the
+    listing's arrays: the argmax of the score, or a fresh race,
+    ``argmin(E_i / rate_i)``.
+    The first draw of the new rows is only taken from the random stream.
     The children of the last split, or the root of a run without splits,
     are drawn after the loop.
     """
@@ -233,12 +208,13 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     # each split adds 2**K samples, or 2**K - 1 when only leaves are kept
     splits = math.ceil((config.n_samples - 1)
                        / (2 ** dims - 1 if resample else 2 ** dims))
-    frontier = []  # (-target_value * radius**K, row) of every leaf
+    # (key, row) of every leaf drawn and not split: -target_value *
+    # radius**K for max evidence, an arrival time for a mixture draw
+    frontier = []
     # radius**K per level as NumPy takes it for the listing's argmax and
     # mixture_weights: a Python float ** can round it one ulp apart
     radius_pows = []
-    if not (resample or greedy):  # weight * radius**K per row, 0 once split
-        sums = _SumTree(np.zeros(1 + splits * 2 ** dims))
+    now = 0.0  # the key that chose the last split: the race clock
     listed = None  # rows and points of the leaves resampled last
 
     def store(rows, points, q):
@@ -267,25 +243,35 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
             values = store(leaves, points, q)
             if greedy:
                 j = int(np.argmax(values * tree.radii(leaves) ** dims))
-            else:
-                j = _SumTree(mixture_weights(tree, leaves)).draw(rng)
+            else:  # a fresh race over the listing
+                times = _arrivals(mixture_weights(tree, leaves), rng)
+                j = int(np.argmin(times))
+                now = times.item(j)
             chosen = leaves[j]
             tree.sample[chosen] = points[j]
             listed = leaves, points
-        elif greedy:
-            values = sample_new(fresh)
-            level = tree.level.item(fresh.start)
-            if level == len(radius_pows):  # the first node of a new level
-                radius_pows = (tree.level_radii ** dims).tolist()
-            radius_pow = radius_pows[level]
-            for row, f in enumerate(values.tolist(), start=fresh.start):
-                heapq.heappush(frontier, (-(f * radius_pow), row))
-            chosen = heapq.heappop(frontier)[1]
         else:
-            sample_new(fresh)
-            sums.set(fresh.start, mixture_weights(tree, fresh).tolist())
-            chosen = sums.draw(rng)
-            sums.set(chosen, [0.0])
+            values = sample_new(fresh)
+            if greedy:
+                level = tree.level.item(fresh.start)
+                if level == len(radius_pows):  # the first node of a new level
+                    radius_pows = (tree.level_radii ** dims).tolist()
+                radius_pow = radius_pows[level]
+                keys = [-(f * radius_pow) for f in values.tolist()]
+            else:
+                times = _arrivals(mixture_weights(tree, fresh), rng).tolist()
+                if min(times) < now * 2.0 ** -20:
+                    # now + t would round the new arrivals away: restart
+                    # the clock at zero, keeping the order of the keys
+                    frontier = [(key - now, row) for key, row in frontier]
+                    heapq.heapify(frontier)
+                    now = 0.0
+                keys = [now + t for t in times]
+            for row, key in enumerate(keys, start=fresh.start):
+                heapq.heappush(frontier, (key, row))
+            now, chosen = heapq.heappop(frontier)
+        if now == math.inf:
+            raise ValueError("degenerate mixture: every leaf has zero weight")
         first = tree.expand(chosen)
         fresh = slice(first, first + 2 ** dims)
 

@@ -34,18 +34,6 @@ def grow_random_tree(dims, n_expansions, rng, half_width=1.0):
     return tree
 
 
-def cumsum_mixture_draw(weights, rng):
-    """Categorical draw by inverse CDF over the normalized ``weights``: the
-    smallest index whose cumulative weight reaches one ``rng.uniform()``,
-    clamped to the last index. The sampler drew this way before its sum
-    tree; the clamp can pick a trailing zero weight when the draw exceeds
-    the rounded total."""
-    weights = np.asarray(weights, dtype=float)
-    cum = np.cumsum(weights / weights.sum())
-    idx = int(np.searchsorted(cum, rng.uniform(), side="left"))
-    return min(idx, len(weights) - 1)
-
-
 def dyadic_midpoint_grid(intervals):
     """Trapezoid grid over [-1, 1] whose interior points sit at interval
     midpoints of the dyadic lattice with spacing 2/intervals.

@@ -55,6 +55,19 @@ The 1D KDE, the DM-PMC runs and every benchmark row kept their bits.
 before the resampled loop stopped evaluating the rows that the next
 listing redraws; they pin that the skipped draws keep their place in the
 random stream for the Gaussian kernel, the mixture draw and 3D.
+
+The eight mixture-draw ("-mix") digests were re-recorded when that draw
+became an exponential race: "1d-std-mix", "2d-std-mix", "3d-dm-mix",
+"3d-dm-mix-wide", "2d-dm-mix-resample", "2d-gauss-std-mix",
+"2d-gauss-std-mix-resample" and "2d-gauss-dm-mix-wide". Each split now
+takes one standard exponential per new row (or per listed leaf) where it
+took one uniform, so the random stream of those runs moved, and with it
+their trees and samples; the law each split is drawn from stayed the
+same. Every other digest kept its value. In "2d-gauss-std-mix" the root's
+draw has rate 5.9e-18 and its children up to 0.031, so the first pop
+moves the race clock about 1e16 times past their arrivals; the digest was
+re-recorded once more when the clock began to restart at zero there,
+before ``now + t`` rounds the new arrivals away.
 """
 
 import hashlib
@@ -118,21 +131,21 @@ GOLDEN = {
     "1d-std-max-resample":
         "35f88bb5c59531ef05ba38df373271df3f5e443e14bc51bdb91482b920510b65",
     "1d-std-mix":
-        "b5a08b6f860d55c05330dc7f5c77cc4a40a2d7b27dfd550fc14bba4ce3e6830d",
+        "443317b68e61147c0207c79f7bcd7e4f3a7633145ba7536efc9572c94eebe0e7",
     "2d-dm-max":
         "7b6f9a2336219073d8a3d93ec463656af54d3aa50996c7955d0e799d12e2e7ff",
     "2d-dm-mix-resample":
-        "103d83fb5857bc1476ab1bc458fd65a03dff74e2dd5f0d2d117101e9c6fa4809",
+        "50552b804b867e86d08065f480df786bffb12289e1fda7a72fecc0caba8951f6",
     "2d-gauss-dm-max":
         "9beb58f51db9a1bb852582e44808bf09ff7792843ad0c4bfdcf134aac2f55735",
     "2d-gauss-dm-mix-wide":
-        "7e4ea34c2b507aded992af84321093a7c8011e21938d5de89355fe9b2a7d27d0",
+        "f8f9dc47ef35b2980d9e0f90e74ff8d29003ad82ac4dba8828a5d24d102808c6",
     "2d-gauss-std-max":
         "b396c6fd631268f4bef623a1dbbc8fe1908e6573b1e26c6346687d19b0c32cee",
     "2d-gauss-std-mix":
-        "7587baa7316ea065cf9d5bcd920fd27894b211bda77e15b6ec06eefd35114bd3",
+        "93676125476afee4dc0d612d5a65987fba83aaf08d9ba0eeb9f1129709add94a",
     "2d-gauss-std-mix-resample":
-        "39a2a1703b5a1e845d91b1986b90c6be4953f960e7900e2d7a7e9304d412f5de",
+        "3c0e1c5c8c36e20ad9d144e0d4d93e642119d6411e5e5b212bcac8b50065c2ca",
     "2d-std-max":
         "336c5220f3c4b3b44571077804ffb0977ebc719abbed3714c1b7acfe8e7353ee",
     "2d-std-max-resample":
@@ -142,11 +155,11 @@ GOLDEN = {
     "2d-std-max-wide":
         "06bec4b0cd1b66b4bda511b4040a1b4288634c56f5dd6d80d69658a4253ca45f",
     "2d-std-mix":
-        "3b497f683bf80c1d65847e2c928c5597f9b30aca37ac590ce3d494c458b290e9",
+        "10219a5d5d860b0c5c6a75e7dff4292806459845e26dc87c54b593db77ef7b7d",
     "3d-dm-mix":
-        "f834cd156221d558ee7a4c1ec9777f9a52129fa79496ecf08b97664df9e556a8",
+        "515da0b68c099b600f863b36d5f1fe64110977b989ad5f00feeea89d9a0eb6ff",
     "3d-dm-mix-wide":
-        "0ebd2a17603cbe3f1038fef9470e44006674c83ce6141b13fbaecbf9e94db684",
+        "bf6176eb9ee2f80c0a112155739faf92e1f4355b89f376e04afeaa58e6f49f2d",
     "3d-std-max":
         "172a11733f660159de47876b470dd200f0451aad195027c237e3fea5b8b75331",
     "3d-std-max-resample":

@@ -13,25 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (component_density, cumsum_mixture_draw,
-                      dyadic_midpoint_grid, grow_random_tree)
-from tpais import proposal
+from conftest import (component_density, dyadic_midpoint_grid,
+                      grow_random_tree)
+from tpais import proposal, sampler
 from tpais.bench import derive_seed
 from tpais.proposal import Kernel, TreeProposal, gaussian_kernel_sum
-from tpais.sampler import (SamplerConfig, _SumTree, mixture_weights,
-                           run_tp_ais)
+from tpais.sampler import (NodeSelection, SamplerConfig, _arrivals,
+                           mixture_weights, run_tp_ais)
 from tpais.targets import make_gmm5_target
 from tpais.tree import DomainBounds, Node, TreePyramid
-
-
-class _FixedAlpha:
-    """Random source stub returning a fixed uniform draw."""
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-
-    def uniform(self):
-        return self.alpha
 
 
 def _three_leaf_tree():
@@ -298,16 +288,29 @@ def test_mixture_weights_unset_contribute_zero():
                                   [1.0, 0.0])
 
 
-def test_mixture_weights_degenerate():
-    # weights that are all zero, unset or not, are returned; drawing from
-    # them raises
+def test_mixture_weights_degenerate(monkeypatch):
+    # weights that are all zero, unset or not, are returned as zero rates;
+    # a run whose rates are all zero raises at its first split, from the
+    # heap and from the resampled listing. Rates that are all the smallest
+    # subnormal are drawn.
     tree = TreePyramid(DomainBounds.centered(1))
     for weight in (math.nan, 0.0):
         tree.weight[0] = weight
-        weights = mixture_weights(tree, tree.leaf_indices())
-        assert weights.tolist() == [0.0]
-        with pytest.raises(ValueError, match="degenerate"):
-            _SumTree(weights).draw(np.random.default_rng(0))
+        assert mixture_weights(tree, tree.leaf_indices()).tolist() == [0.0]
+    for rate in (0.0, 5e-324):
+        monkeypatch.setattr(
+            sampler, "mixture_weights",
+            lambda tree, rows: np.full_like(tree.weight[rows], rate))
+        for resample in (False, True):
+            cfg = SamplerConfig(dims=1, n_samples=8,
+                                resample_leaves=resample,
+                                node_selection=NodeSelection.MIXTURE_DRAW)
+            if rate:
+                assert len(run_tp_ais(lambda x: np.ones(len(x)), cfg)
+                           .sample_set) == 8 + (not resample)
+                continue
+            with pytest.raises(ValueError, match="degenerate"):
+                run_tp_ais(lambda x: np.ones(len(x)), cfg)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf])
@@ -318,109 +321,45 @@ def test_mixture_weights_reject_bad_values(bad):
         mixture_weights(tree, slice(0, 1))
 
 
-def _grown_sums(values):
-    """A ``_SumTree`` of zero slots, sized for ``values``, then given them
-    one slot at a time, as a run without resampling sets them."""
-    sums = _SumTree(np.zeros(len(values)))
-    for slot, value in enumerate(values):
-        sums.set(slot, [float(value)])
-    return sums
+class _FixedExponential:
+    """Random source stub whose exponential draws all equal ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_exponential(self, size):
+        return np.full(size, self.value)
 
 
-_BOTH_PATHS = pytest.mark.parametrize("build", [
-    lambda values: _SumTree(np.asarray(values, dtype=float)), _grown_sums,
-], ids=["rebuilt", "grown"])
+def test_arrivals_of_zero_rates_are_infinite():
+    # a zero rate never arrives, even under a draw of exactly 0.0 (which
+    # 0 / 0 would turn into NaN); times are E / rate in units of 2**64
+    rates = np.array([0.0, 2.0, 0.0, 4.0])
+    assert _arrivals(rates, _FixedExponential(0.0)).tolist() == [
+        math.inf, 0.0, math.inf, 0.0]
+    assert _arrivals(rates, _FixedExponential(1.0)).tolist() == [
+        math.inf, 2.0 ** -65, math.inf, 2.0 ** -66]
+    # every positive rate arrives, the smallest subnormal under the
+    # largest exponential draw too
+    times = _arrivals(np.array([0.0, 5e-324, 1e-300, 0.25]),
+                      _FixedExponential(44.4))
+    assert times[0] == math.inf and (times[1:] < math.inf).all()
 
 
-@_BOTH_PATHS
-def test_sum_tree_draw_fixed_alpha(build):
-    assert build([1.0]).draw(_FixedAlpha(0.99)) == 0
-    assert build([0.5, 0.5]).draw(_FixedAlpha(0.0)) == 0
-    assert build([0.5, 0.5]).draw(_FixedAlpha(0.3)) == 0
-    assert build([0.2, 0.3, 0.5]).draw(_FixedAlpha(0.6)) == 2
-    # a draw at the total lands on the last positive slot, not a padding
-    # or trailing zero slot
-    assert build([0.2, 0.3, 0.5]).draw(_FixedAlpha(1.0)) == 2
-    assert build([0.2, 0.3, 0.5, 0.0, 0.0]).draw(_FixedAlpha(1.0)) == 2
-    # zero-weight leading slots are skipped, also by a draw of exactly 0
-    assert build([0.0, 1.0]).draw(_FixedAlpha(1e-12)) == 1
-    assert build([0.0, 1.0]).draw(_FixedAlpha(0.0)) == 1
-    assert build([0.0, 0.0, 0.0, 2.0, 0.0]).draw(_FixedAlpha(0.0)) == 3
-
-
-def test_sum_tree_draw_skips_the_zero_the_cumsum_clamp_picks():
-    # normalized, these seven weights sum to 1 - 2**-52; the largest draw
-    # below 1 passes every cumulative weight, and the clamp returns the
-    # trailing zero
-    weights = [0.1] * 7 + [0.0]
-    alpha = _FixedAlpha(math.nextafter(1.0, 0.0))
-    assert cumsum_mixture_draw(weights, alpha) == 7
-    assert _SumTree(np.array(weights)).draw(alpha) == 6
-    assert _grown_sums(weights).draw(alpha) == 6
-
-
-@_BOTH_PATHS
-def test_sum_tree_frequencies_match_the_categorical(build):
+def test_listing_race_frequencies_match_the_categorical():
+    # the resampled listing draws argmin(E_i / rate_i): the first arrival
+    # of a fresh race, never a zero rate
     weights = np.array([0.1, 0.0, 0.2, 0.3, 0.0, 0.4])
-    sums = build(weights)
     rng = np.random.default_rng(5)
     n = 100_000
-    counts = np.bincount([sums.draw(rng) for _ in range(n)],
-                         minlength=len(weights))
+    counts = np.bincount(
+        [int(np.argmin(_arrivals(weights, rng))) for _ in range(n)],
+        minlength=len(weights))
     assert counts.sum() == n and counts[weights == 0.0].sum() == 0
     positive = weights > 0.0
     expected = n * weights[positive]
     chi2 = np.sum((counts[positive] - expected) ** 2 / expected)
     assert chi2 < 16.27  # chi-square critical value, 3 dof, alpha 1e-3
-
-
-def test_sum_tree_never_draws_a_zeroed_slot():
-    # as in a run: the drawn slot is zeroed and four new ones set, one of
-    # them zero; the tree is sized once for all 29 rows, padded to 32
-    rng = np.random.default_rng(11)
-    sums = _SumTree(np.zeros(29))
-    sums.set(0, [1.0])
-    live, end = {0}, 1
-    for _ in range(7):
-        chosen = sums.draw(rng)
-        assert chosen in live
-        sums.set(chosen, [0.0])
-        values = rng.uniform(0.5, 1.0, 4)
-        values[1] = 0.0
-        sums.set(end, values.tolist())
-        live = (live - {chosen}) | {end, end + 2, end + 3}
-        end += 4
-        assert {sums.draw(rng) for _ in range(2000)} <= live
-    assert len(sums.levels[0]) == 32
-
-
-@_BOTH_PATHS
-def test_sum_tree_all_zero_is_degenerate(build):
-    with pytest.raises(ValueError, match="degenerate"):
-        build([0.0, 0.0, 0.0]).draw(np.random.default_rng(0))
-    # slots set and then zeroed sum to exactly 0.0: a sum shifted by
-    # differences would keep 0.1 + 0.2 - 0.1 - 0.2 = 5.6e-17
-    sums = build([0.1, 0.2])
-    sums.set(0, [0.0])
-    sums.set(1, [0.0])
-    assert sums.levels[-1][0] == 0.0
-    with pytest.raises(ValueError, match="degenerate"):
-        sums.draw(np.random.default_rng(0))
-
-
-def test_sum_tree_agrees_with_the_cumsum_rule():
-    # the same uniform draw picks the same slot, up to rounding at the
-    # cumulative boundaries, which these seeds never hit
-    for seed in range(300):
-        rng = np.random.default_rng(seed)
-        weights = rng.uniform(0.0, 1.0, int(rng.integers(1, 40)))
-        weights[rng.uniform(size=weights.size) < 0.3] = 0.0
-        if not weights.any():
-            continue
-        for sums in (_SumTree(weights), _grown_sums(weights)):
-            expected = cumsum_mixture_draw(weights,
-                                           np.random.default_rng(seed))
-            assert sums.draw(np.random.default_rng(seed)) == expected
 
 
 def sequential_kernel_sum(points, centers, scale, weights):

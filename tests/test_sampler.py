@@ -165,6 +165,53 @@ def test_mixture_draw_degenerate_state_raises():
 
 
 @pytest.mark.parametrize("resample", [False, True],
+                         ids=["heap", "listing"])
+def test_mixture_draw_third_split_follows_the_leaf_rates(resample):
+    # a flat target in 1D: the leaf of radius r has weight 2r, so rate
+    # 2r**2. After splitting one child of the root, the third split picks
+    # the unsplit sibling (rate 1/2) with probability 2/3 and each
+    # grandchild (rate 1/8) with 1/6. Without resampling this pins the
+    # race clock: keys E / rate that ignore it favour the grandchildren.
+    flat = lambda x: np.ones(len(x))
+    counts = np.zeros(3)
+    for seed in range(4000):
+        tree = run_tp_ais(flat, SamplerConfig(
+            dims=1, n_samples=4 if resample else 7, seed=seed,
+            resample_leaves=resample,
+            node_selection=NodeSelection.MIXTURE_DRAW)).tree
+        assert len(tree) == 7
+        chosen = int(np.flatnonzero(tree.first_child == 5)[0])
+        counts[0 if chosen in (1, 2) else 1 + (chosen - 3)] += 1
+    expected = 4000 * np.array([2 / 3, 1 / 6, 1 / 6])
+    chi2 = np.sum((counts - expected) ** 2 / expected)
+    assert chi2 < 13.82  # chi-square critical value, 2 dof, alpha 1e-3
+
+
+@pytest.mark.parametrize("tiny", [1e-25, 1e-310])
+def test_mixture_draw_follows_the_leaf_rates_after_a_tiny_root(tiny):
+    # flat on [0, 1] and ``tiny`` on [-1, 0): in half the runs the root's
+    # draw is tiny, so the first pop moves the race clock far past every
+    # later arrival (to about 3e5 or 3e290 in the race's time unit). The
+    # second split takes [0, 1] (row 1); from then on the run is the flat
+    # test above one split later: the fourth split picks the unsplit
+    # grandchild with probability 2/3 and each of its sibling's children
+    # with 1/6. A clock that rounds the later arrivals away ties them, and
+    # the lower row wins every tie. A subnormal rate must arrive as well.
+    target = lambda x: np.where(x[:, 0] >= 0.0, 1.0, tiny)
+    counts = np.zeros(3)
+    for seed in range(4000):
+        tree = run_tp_ais(target, SamplerConfig(
+            dims=1, n_samples=9, seed=seed,
+            node_selection=NodeSelection.MIXTURE_DRAW)).tree
+        assert len(tree) == 9 and tree.first_child[1] == 3
+        chosen = int(np.flatnonzero(tree.first_child == 7)[0])
+        counts[0 if chosen in (3, 4) else 1 + (chosen - 5)] += 1
+    expected = 4000 * np.array([2 / 3, 1 / 6, 1 / 6])
+    chi2 = np.sum((counts - expected) ** 2 / expected)
+    assert chi2 < 13.82  # chi-square critical value, 2 dof, alpha 1e-3
+
+
+@pytest.mark.parametrize("resample", [False, True],
                          ids=["mix", "mix-resample"])
 def test_mixture_draw_on_a_zero_target_raises(resample):
     cfg = SamplerConfig(dims=2, n_samples=32, resample_leaves=resample,
@@ -224,34 +271,6 @@ def test_mixture_draw_lists_no_leaves_without_resampling(monkeypatch):
         dims=2, n_samples=256, seed=4,
         node_selection=NodeSelection.MIXTURE_DRAW))
     assert len(result.tree) == 257 and calls == []
-
-
-@pytest.mark.parametrize("selection, resample, built", [
-    (NodeSelection.MIXTURE_DRAW, False, 1),
-    (NodeSelection.MAX_EVIDENCE, False, 0),
-    (NodeSelection.MAX_EVIDENCE, True, 0),
-], ids=["mix", "heap", "argmax-resample"])
-def test_sum_tree_is_sized_once_for_the_run(monkeypatch, selection, resample,
-                                            built):
-    # a mixture draw without resampling sets its rows in one sum tree,
-    # sized before the first split for the run's 1 + 25 * 4 rows; greedy
-    # runs build none
-    trees = []
-
-    class Spied(sampler._SumTree):
-        def __init__(self, *slots):
-            super().__init__(*slots)
-            trees.append((self, len(self.levels[0])))
-
-    monkeypatch.setattr(sampler, "_SumTree", Spied)
-    target = make_gmm5_target(np.random.default_rng(3), 2)
-    result = run_tp_ais(target, SamplerConfig(
-        dims=2, n_samples=100, node_selection=selection,
-        resample_leaves=resample, seed=4))
-    assert len(trees) == built
-    for sums, slots in trees:
-        assert len(result.tree) == 101
-        assert slots == len(sums.levels[0]) == 128
 
 
 class CountingTarget:
