@@ -128,8 +128,9 @@ def jsd(p, q, bounds: DomainBounds, n: int, rng: np.random.Generator) -> float:
 class KDEModel:
     """Gaussian product-kernel density estimate of ``points`` (n, K) with
     one scalar ``bandwidth``, which must be positive and finite (a
-    ``ValueError`` naming ``bandwidth`` otherwise). A 1-d ``points`` array
-    holds n one-dimensional points, as a 1-d chain does for ``ess_mcmc``."""
+    ``ValueError`` naming ``bandwidth`` otherwise). The points must be
+    finite. A 1-d ``points`` array holds n one-dimensional points, as a
+    1-d chain does for ``ess_mcmc``."""
 
     points: np.ndarray
     bandwidth: float = 0.05
@@ -138,8 +139,10 @@ class KDEModel:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim < 2:
             self.points = self.points.reshape(-1, 1)
-        if self.points.ndim != 2 or 0 in self.points.shape:
-            raise ValueError("KDE points must be a non-empty (n, K) array")
+        if (self.points.ndim != 2 or 0 in self.points.shape
+                or not np.isfinite(self.points).all()):
+            raise ValueError("KDE points must be a non-empty (n, K) array "
+                             "of finite values")
         self.bandwidth = _scale("bandwidth", self.bandwidth)
 
     @property

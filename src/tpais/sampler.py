@@ -215,7 +215,6 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
     # mixture_weights: a Python float ** can round it one ulp apart
     radius_pows = []
     now = 0.0  # the key that chose the last split: the race clock
-    listed = None  # rows and points of the leaves resampled last
 
     def store(rows, points, q):
         values = _eval_target(target, points)
@@ -229,12 +228,12 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
         return store(rows, points, q)
 
     fresh = slice(0, 1)  # the rows made last: the root, then the children
-    for _ in range(splits):
+    for split in range(splits):
         if resample:
-            # the rows made last are listed too: their first draw, never
-            # read, leads this call to keep the random stream and is
-            # dropped. A leaf's point is written when it is split or the
-            # loop ends.
+            # the listing takes the rows made last too: their first draw,
+            # never read, leads this call to keep the random stream and
+            # is dropped. A leaf's point is written when it is split, or
+            # by the last listing.
             leaves = tree.leaf_indices()
             points, q = proposal.draw(
                 np.concatenate((np.arange(fresh.start, fresh.stop), leaves)),
@@ -249,7 +248,8 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
                 now = times.item(j)
             chosen = leaves[j]
             tree.sample[chosen] = points[j]
-            listed = leaves, points
+            if split == splits - 1:
+                tree.sample[leaves] = points
         else:
             values = sample_new(fresh)
             if greedy:
@@ -277,8 +277,6 @@ def run_tp_ais(target, config: SamplerConfig) -> TPAISResult:
 
     # the last split's children, or the root of a run without splits
     sample_new(fresh)
-    if listed is not None:
-        tree.sample[listed[0]] = listed[1]
 
     rows = tree.leaf_indices() if resample else np.arange(len(tree))
     return TPAISResult(_stored_set(proposal, rows, config.weighting,

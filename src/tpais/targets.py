@@ -122,7 +122,6 @@ class TargetDensity:
 
     model: GaussianMixture
     bounds: DomainBounds
-    name: str = ""
 
     def __call__(self, x):
         return self.model.density(x)
@@ -134,7 +133,7 @@ def make_normal_target(rng: np.random.Generator, dims: int) -> TargetDensity:
     mean = rng.uniform(-1.0, 1.0, size=dims)
     std = rng.uniform(0.01, 0.05, size=dims)
     model = GaussianMixture(mean[None, :], (std ** 2)[None, :], np.array([1.0]))
-    return TargetDensity(model, bounds, "normal")
+    return TargetDensity(model, bounds)
 
 
 def make_gmm5_target(rng: np.random.Generator, dims: int) -> TargetDensity:
@@ -143,7 +142,7 @@ def make_gmm5_target(rng: np.random.Generator, dims: int) -> TargetDensity:
     means = rng.uniform(-1.0, 1.0, size=(5, dims))
     variances = rng.uniform(0.01, 0.05, size=(5, dims))
     model = GaussianMixture(means, variances, np.full(5, 0.2))
-    return TargetDensity(model, bounds, "gmm5")
+    return TargetDensity(model, bounds)
 
 
 def make_egg_target(dims: int) -> TargetDensity:
@@ -159,5 +158,5 @@ def make_egg_target(dims: int) -> TargetDensity:
     means = np.stack([g.ravel() for g in grids], axis=1)
     m = means.shape[0]
     model = GaussianMixture(means, np.full((m, dims), 0.01), np.full(m, 1.0 / m))
-    return TargetDensity(model, bounds, "egg")
+    return TargetDensity(model, bounds)
 

@@ -99,9 +99,9 @@ def _eval_target(target, x) -> np.ndarray:
 class DomainBounds:
     """Axis-aligned hypercube domain ``[lower_d, upper_d]`` for each dimension.
 
-    Bounds must be finite, and extents strictly positive and equal across
-    dimensions: the tree uses one scalar radius per node, so only hypercube
-    domains are supported.
+    Bounds and their extents must be finite, and extents strictly positive
+    and equal across dimensions: the tree uses one scalar radius per node,
+    so only hypercube domains are supported.
     """
 
     lower: np.ndarray
@@ -113,9 +113,11 @@ class DomainBounds:
         if lower.ndim != 1 or lower.size == 0 or lower.shape != upper.shape:
             raise ValueError("bounds must be non-empty 1-d arrays of equal "
                              "length")
-        if not np.all(np.isfinite([lower, upper])):
-            raise ValueError("domain bounds must be finite")
-        extents = upper - lower
+        # an infinite or NaN bound makes its extent not finite as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            extents = upper - lower
+        if not np.isfinite(extents).all():
+            raise ValueError("domain bounds and their extents must be finite")
         if np.any(extents <= 0.0):
             raise ValueError("every upper bound must exceed its lower bound")
         if not np.allclose(extents, extents[0], rtol=1e-12, atol=0.0):

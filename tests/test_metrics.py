@@ -290,6 +290,9 @@ def test_kde_validation():
     for empty in (np.empty((0, 1)), np.empty((0, 2)), []):
         with pytest.raises(ValueError, match="non-empty"):
             KDEModel(empty)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            KDEModel([[0.0], [bad], [0.3]], 0.05)
 
 
 def test_evidence_estimate_and_mse():

@@ -420,6 +420,35 @@ def test_standard_leaf_set_is_the_stored_columns(dims, kernel, selection,
     assert np.array_equal(leaf_set.weights, tree.weight[leaves])
 
 
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("selection", list(NodeSelection))
+@pytest.mark.parametrize("resample", [False, True])
+def test_every_row_holds_its_own_draw(dims, kernel, selection, resample):
+    # a resampled run writes the point of a split leaf, and of each leaf
+    # of the last listing, apart from its value and weight: every row's
+    # three columns must still come from one draw of its own component
+    for seed in range(6):
+        target = make_gmm5_target(np.random.default_rng(seed), dims)
+        tree = run_tp_ais(target, SamplerConfig(
+            dims=dims, n_samples=60, kernel=kernel, node_selection=selection,
+            resample_leaves=resample, seed=seed)).tree
+        rows = np.arange(len(tree))
+        x, values = tree.sample[rows], tree.target_value[rows]
+        assert not np.isnan(tree.weight[rows]).any()
+        np.testing.assert_allclose(target(x), values, rtol=1e-12)
+        center, radius = tree.center[rows], tree.radii(rows)[:, None]
+        if kernel is Kernel.UNIFORM:
+            assert ((x >= center - radius) & (x <= center + radius)).all()
+            own = 1.0 / (2.0 * radius[:, 0]) ** dims
+        else:
+            z = (x - center) / radius
+            own = (np.exp(-0.5 * np.sum(z * z, axis=1))
+                   / (radius[:, 0] * math.sqrt(2.0 * math.pi)) ** dims)
+        np.testing.assert_allclose(tree.weight[rows], values / own,
+                                   rtol=1e-12)
+
+
 def _spike(x):
     return np.abs(x[:, 0] - 0.3) ** -0.95
 

@@ -247,4 +247,3 @@ def test_target_callable_interface():
     target = make_normal_target(np.random.default_rng(2), 1)
     x = np.array([[0.1]])
     assert target(x) == target.model.density(x)
-    assert target.name == "normal"

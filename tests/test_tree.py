@@ -45,7 +45,8 @@ def test_bounds_rejects_inverted_and_flat():
 
 def test_bounds_rejects_non_finite():
     for lo, hi in (([-math.inf], [math.inf]), ([0.0], [math.inf]),
-                   ([math.nan], [1.0]), ([0.0, 0.0], [1.0, math.nan])):
+                   ([math.nan], [1.0]), ([0.0, 0.0], [1.0, math.nan]),
+                   ([-1e308], [1e308])):
         with pytest.raises(ValueError, match="finite"):
             DomainBounds(np.array(lo), np.array(hi))
 
